@@ -13,6 +13,20 @@
 #include "obs/trace.h"
 
 namespace cafe {
+namespace {
+
+/// Bytes io::Writer::WriteVec emits for `v`.
+template <typename T>
+size_t VecBytes(const std::vector<T>& v) {
+  return sizeof(uint64_t) + v.size() * sizeof(T);
+}
+
+/// Bytes of the victim queue section: a count, then (growth, slot) pairs.
+size_t VictimQueueBytes(const std::vector<std::pair<double, int64_t>>& queue) {
+  return sizeof(uint64_t) + queue.size() * (sizeof(double) + sizeof(int64_t));
+}
+
+}  // namespace
 
 StatusOr<std::unique_ptr<CafeEmbedding>> CafeEmbedding::Create(
     const CafeConfig& config) {
@@ -712,6 +726,17 @@ size_t CafeEmbedding::MemoryBytes() const {
 }
 
 Status CafeEmbedding::SaveState(io::Writer* writer) const {
+  // One exact reservation: the tables dominate, and a doubling buffer would
+  // copy them again on every growth step.
+  const size_t expected =
+      sizeof(uint32_t) + 4 * sizeof(uint64_t) + 2 + VecBytes(sketch_.slots()) +
+      VecBytes(hot_table_) + VecBytes(shared_a_) + VecBytes(shared_b_) +
+      VecBytes(free_rows_) + VecBytes(field_used_) + 2 * sizeof(double) +
+      VecBytes(row_prev_score_) + VictimQueueBytes(victim_queue_) +
+      7 * sizeof(uint64_t);
+  [[maybe_unused]] const size_t start = writer->size();
+  writer->Reserve(expected);
+
   // Sizing guard (derived from config + plan; re-checked on load).
   writer->WriteU32(config_.embedding.dim);
   writer->WriteU64(plan_.hot_capacity);
@@ -745,6 +770,7 @@ Status CafeEmbedding::SaveState(io::Writer* writer) const {
   writer->WriteU64(lookup_stats_.hot);
   writer->WriteU64(lookup_stats_.medium);
   writer->WriteU64(lookup_stats_.cold);
+  CAFE_DCHECK(writer->size() - start == expected);
   return Status::OK();
 }
 
@@ -771,6 +797,23 @@ Status CafeEmbedding::SaveDelta(io::Writer* writer) {
         "cafe embedding: dirty tracking is not enabled");
   }
   const uint32_t c = config_.slots_per_bucket;
+  const uint32_t d = config_.embedding.dim;
+  // Exact output size from the dirty-set counts, reserved up front.
+  size_t expected =
+      sizeof(uint32_t) + 4 * sizeof(uint64_t) + 7 * sizeof(uint64_t) +
+      2 * sizeof(double) + VecBytes(free_rows_) + VecBytes(field_used_) + 1 +
+      2 * sizeof(uint64_t) +
+      dirty_buckets_.rows().size() *
+          (sizeof(uint64_t) + c * sizeof(HotSketch::Slot)) +
+      delta_internal::DirtyRowsBytes(dirty_hot_, d) +
+      delta_internal::DirtyRowsBytes(dirty_shared_a_, d) +
+      delta_internal::DirtyRowsBytes(dirty_shared_b_, d);
+  if (maintenance_dirty_) {
+    expected += VecBytes(row_prev_score_) + VictimQueueBytes(victim_queue_);
+  }
+  [[maybe_unused]] const size_t start = writer->size();
+  writer->Reserve(expected);
+
   // Sizing guard, as in SaveState.
   writer->WriteU32(config_.embedding.dim);
   writer->WriteU64(plan_.hot_capacity);
@@ -815,7 +858,6 @@ Status CafeEmbedding::SaveDelta(io::Writer* writer) {
   }
 
   // The embedding tables, dirty rows only.
-  const uint32_t d = config_.embedding.dim;
   const size_t delta_start = writer->size();
   delta_internal::WriteDirtyRows(writer, dirty_hot_, hot_table_.data(), d);
   delta_internal::WriteDirtyRows(writer, dirty_shared_a_, shared_a_.data(), d);
@@ -830,6 +872,7 @@ Status CafeEmbedding::SaveDelta(io::Writer* writer) {
   dirty_buckets_.Flush();
   pending_decay_ticks_ = 0;
   maintenance_dirty_ = false;
+  CAFE_DCHECK(writer->size() - start == expected);
   return Status::OK();
 }
 

@@ -139,6 +139,13 @@ inline void WriteDirtyRows(io::Writer* writer, const DirtyRowSet& set,
   }
 }
 
+/// Bytes WriteDirtyRows / WriteDirtyRowsAt emit for `set`, so a SaveDelta
+/// can reserve its exact output size before writing.
+inline size_t DirtyRowsBytes(const DirtyRowSet& set, uint32_t row_floats) {
+  return sizeof(uint64_t) +
+         set.rows().size() * (sizeof(uint64_t) + row_floats * sizeof(float));
+}
+
 /// Applies a section written by WriteDirtyRows onto `table` (num_rows rows
 /// of row_floats floats), bounds-checking every record.
 inline Status ReadDirtyRows(io::Reader* reader, float* table,

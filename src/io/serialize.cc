@@ -46,8 +46,12 @@ void SyncParentDirectory(const std::string& path) {
 }  // namespace
 
 uint64_t Fingerprint(const void* data, size_t size) {
+  return FingerprintExtend(kFingerprintBasis, data, size);
+}
+
+uint64_t FingerprintExtend(uint64_t state, const void* data, size_t size) {
   const unsigned char* p = static_cast<const unsigned char*>(data);
-  uint64_t h = 0xcbf29ce484222325ULL;  // FNV offset basis
+  uint64_t h = state;
   for (size_t i = 0; i < size; ++i) {
     h ^= p[i];
     h *= 0x100000001b3ULL;  // FNV prime

@@ -17,6 +17,14 @@ namespace io {
 /// installed into a live store.
 uint64_t Fingerprint(const void* data, size_t size);
 
+/// FNV-1a offset basis: the fingerprint state before any byte is folded in.
+constexpr uint64_t kFingerprintBasis = 0xcbf29ce484222325ULL;
+
+/// Folds `size` more bytes into a running fingerprint. Extending the basis
+/// over `a` and then over `b` equals Fingerprint(a ++ b), so a stream can be
+/// hashed chunk by chunk as it arrives.
+uint64_t FingerprintExtend(uint64_t state, const void* data, size_t size);
+
 /// Append-only binary encoder. Everything is little-endian fixed-width (the
 /// only platforms this library targets); floats are written by bit pattern,
 /// so a round trip is bit-identical including NaN payloads and -0.0f.
@@ -52,6 +60,13 @@ class Writer {
                   "WriteVec needs a POD element type");
     WriteU64(v.size());
     WriteBytes(v.data(), v.size() * sizeof(T));
+  }
+
+  /// Makes room for `additional` more bytes in one allocation. A producer
+  /// that knows its exact output size calls this first, so the buffer never
+  /// regrows (and never re-copies what it already holds) mid-write.
+  void Reserve(size_t additional) {
+    buffer_.reserve(buffer_.size() + additional);
   }
 
   const std::string& buffer() const { return buffer_; }
@@ -94,7 +109,9 @@ class Reader {
     if (size > remaining()) {
       return Status::OutOfRange("serialized data truncated");
     }
-    std::memcpy(out, bytes_->data() + pos_, size);
+    // An empty vector's data() may be null, and memcpy from or to null is
+    // undefined even for zero bytes.
+    if (size != 0) std::memcpy(out, bytes_->data() + pos_, size);
     pos_ += size;
     return Status::OK();
   }

@@ -2,10 +2,12 @@
 #define CAFE_REPLICATE_FRAME_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
+#include "io/serialize.h"
 
 namespace cafe {
 namespace replicate {
@@ -62,8 +64,16 @@ struct Frame {
   std::string payload;
 };
 
-/// Serializes one frame, fingerprint included.
+/// Serializes one frame, fingerprint included, into a single buffer
+/// reserved to the exact frame size from the local payload's length: the
+/// payload is copied once and never regrown.
+std::string EncodeFrame(FrameKind kind, uint64_t generation,
+                        uint64_t train_step, const std::string& payload);
 std::string EncodeFrame(const Frame& frame);
+
+/// An encoded frame, immutable once built. The source shares one instance
+/// across every link's send queue and the delta history ring.
+using SharedFrame = std::shared_ptr<const std::string>;
 
 /// Parses `bytes` as EXACTLY one encoded frame (no leading damage, no
 /// trailing bytes). The durable replica ledger stores frames in this form so
@@ -97,6 +107,13 @@ Status DecodeAux(const std::string& payload, AuxState* out);
 /// A contiguous damage zone surfaces as a small bounded number of kCorrupt
 /// results (one per rescan step, not one per byte) before parsing resumes;
 /// consumers treat kCorrupt idempotently (poison once, resync once).
+///
+/// Verification streams: Feed() folds FNV-1a over the frame at the read
+/// position as its bytes arrive, so by the time the last byte of a large
+/// frame lands its fingerprint is one compare away. Next() still returns a
+/// frame only after that compare passes. The receive buffer grows with the
+/// bytes fed (realloc, which moves large blocks without copying them) and
+/// is never sized from a header's unverified payload_size.
 class FrameParser {
  public:
   enum class Result {
@@ -105,20 +122,36 @@ class FrameParser {
     kCorrupt,   ///< damage detected and skipped; call Next() again
   };
 
+  FrameParser() = default;
+  ~FrameParser();
+  FrameParser(const FrameParser&) = delete;
+  FrameParser& operator=(const FrameParser&) = delete;
+
   void Feed(const void* data, size_t size);
   Result Next(Frame* out);
 
   /// Total kCorrupt results surfaced.
   uint64_t corrupt_events() const { return corrupt_events_; }
-  size_t buffered_bytes() const { return buffer_.size() - pos_; }
+  size_t buffered_bytes() const { return size_ - pos_; }
+  /// Bytes allocated for the receive buffer.
+  size_t buffer_capacity() const { return capacity_; }
 
  private:
-  /// Discards [pos_, pos_ + n) and compacts the buffer when the dead
-  /// prefix dominates.
+  /// Discards [pos_, pos_ + n), restarts the fingerprint for the frame at
+  /// the new position, and compacts the buffer when the dead prefix
+  /// dominates.
   void Consume(size_t n);
+  /// Folds the not-yet-hashed bytes of the frame at pos_ into fp_state_:
+  /// the header while it is incomplete, then header + payload once a
+  /// plausible header declares the payload's length.
+  void HashBuffered();
 
-  std::string buffer_;
-  size_t pos_ = 0;
+  char* data_ = nullptr;  // malloc'd; grown with realloc
+  size_t size_ = 0;       // bytes fed and not yet compacted away
+  size_t capacity_ = 0;
+  size_t pos_ = 0;        // start of the frame being parsed
+  uint64_t fp_state_ = io::kFingerprintBasis;
+  size_t fp_len_ = 0;     // bytes from pos_ folded into fp_state_
   uint64_t corrupt_events_ = 0;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <utility>
+#include <vector>
 
 #include "common/logging.h"
 #include "common/random.h"
@@ -12,6 +13,10 @@
 namespace cafe {
 namespace replicate {
 namespace {
+
+/// Channel read size. Large reads keep a multi-megabyte base to a few
+/// hundred syscalls; the parser hashes each chunk as it is buffered.
+constexpr size_t kReadChunkBytes = 256 << 10;
 
 uint64_t NowUs() {
   return static_cast<uint64_t>(
@@ -84,12 +89,9 @@ Status ReplicaManager::Start() {
 }
 
 void ReplicaManager::SendControl(FrameKind kind, uint64_t generation) {
-  Frame frame;
-  frame.kind = kind;
-  frame.generation = generation;
   // A write failure means the link died; the reader sees EOF and takes the
   // reconnect path — nothing useful to do with the status here.
-  const std::string bytes = EncodeFrame(frame);
+  const std::string bytes = EncodeFrame(kind, generation, 0, "");
   std::shared_ptr<ByteChannel> channel;
   {
     std::lock_guard<std::mutex> lock(channel_mu_);
@@ -229,16 +231,16 @@ Status ReplicaManager::DrainStream() {
     channel = channel_;
   }
   FrameParser parser;
-  char buf[4096];
+  std::vector<char> buf(kReadChunkBytes);
   while (true) {
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (shutdown_) return Status::OK();
     }
-    auto n = channel->Read(buf, sizeof(buf));
+    auto n = channel->Read(buf.data(), buf.size());
     if (!n.ok() || *n == 0) return Status::OK();
     last_recv_us_.store(NowUs(), std::memory_order_relaxed);
-    parser.Feed(buf, *n);
+    parser.Feed(buf.data(), *n);
     Frame frame;
     while (true) {
       const FrameParser::Result result = parser.Next(&frame);

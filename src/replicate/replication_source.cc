@@ -18,6 +18,10 @@ uint64_t NowUs() {
           .count());
 }
 
+SharedFrame Share(std::string bytes) {
+  return std::make_shared<const std::string>(std::move(bytes));
+}
+
 }  // namespace
 
 ReplicationSource::ReplicationSource(SnapshotManager::FreshStoreFactory factory)
@@ -152,37 +156,41 @@ void ReplicationSource::DrainLocked() {
     }
     head_generation_ = generation;
     head_step_ = entry.train_step;
-    head_aux_ = entry.aux;
     ++generations_published_;
     obs_head_generation_->Set(static_cast<double>(head_generation_));
 
-    Frame frame;
-    frame.kind = entry.is_delta ? FrameKind::kDelta : FrameKind::kBase;
-    frame.generation = generation;
-    frame.train_step = entry.train_step;
-    frame.payload = *entry.payload;
-    const std::string data_bytes = EncodeFrame(frame);
-    std::string aux_bytes;
-    if (!entry.aux.empty()) {
-      Frame aux_frame;
-      aux_frame.kind = FrameKind::kAux;
-      aux_frame.generation = generation;
-      aux_frame.train_step = entry.train_step;
-      aux_frame.payload = entry.aux;
-      aux_bytes = EncodeFrame(aux_frame);
+    // Every frame below is encoded at most once and shared read-only by
+    // the history ring, the cached head base and all the queues that send
+    // it. A base is always encoded (it becomes the head base every later
+    // joiner at this head is sent); a delta with neither a ring nor a
+    // caught-up link to read it is dropped unencoded.
+    head_aux_frame_ =
+        entry.aux.empty()
+            ? nullptr
+            : Share(EncodeFrame(FrameKind::kAux, generation, entry.train_step,
+                                entry.aux));
+    const bool keep_history =
+        entry.is_delta && options_.delta_history_generations > 0;
+    const bool fan_out =
+        std::any_of(links_.begin(), links_.end(), [](const auto& link) {
+          return link->alive && link->caught_up && !link->stale;
+        });
+    SharedFrame data;
+    if (!entry.is_delta || keep_history || fan_out) {
+      data = Share(EncodeFrame(
+          entry.is_delta ? FrameKind::kDelta : FrameKind::kBase, generation,
+          entry.train_step, *entry.payload));
     }
-    cumulative_bytes_ += data_bytes.size() + aux_bytes.size();
+    head_base_frame_ = entry.is_delta ? nullptr : data;
+    cumulative_bytes_ += kFrameOverheadBytes + entry.payload->size() +
+                         (head_aux_frame_ ? head_aux_frame_->size() : 0);
     bytes_at_[generation] = cumulative_bytes_;
     while (bytes_at_.size() > 1024) bytes_at_.erase(bytes_at_.begin());
 
     // The history ring holds deltas contiguous up to the head; a base
     // publish resets it (catch-up across a base needs the base anyway).
-    if (entry.is_delta && options_.delta_history_generations > 0) {
-      HistoryEntry history;
-      history.generation = generation;
-      history.aux_bytes = aux_bytes;
-      history.data_bytes = data_bytes;
-      history_.push_back(std::move(history));
+    if (keep_history) {
+      history_.push_back({generation, head_aux_frame_, data});
       while (history_.size() > options_.delta_history_generations) {
         history_.pop_front();
       }
@@ -190,12 +198,14 @@ void ReplicationSource::DrainLocked() {
       history_.clear();
     }
 
+    if (!fan_out) continue;
     for (auto& link : links_) {
       if (!link->alive || !link->caught_up || link->stale) continue;
-      if (!aux_bytes.empty() && !EnqueueLocked(link.get(), aux_bytes, true)) {
+      if (head_aux_frame_ != nullptr &&
+          !EnqueueLocked(link.get(), head_aux_frame_, true)) {
         continue;  // went stale; the sender rebases once drained
       }
-      EnqueueLocked(link.get(), data_bytes, true);
+      EnqueueLocked(link.get(), data, true);
       UpdateLagLocked(link.get());
     }
   }
@@ -204,7 +214,7 @@ void ReplicationSource::DrainLocked() {
   send_cv_.notify_all();
 }
 
-bool ReplicationSource::EnqueueLocked(Link* link, const std::string& bytes,
+bool ReplicationSource::EnqueueLocked(Link* link, const SharedFrame& frame,
                                       bool is_data) {
   if (!link->alive) return false;
   // An empty queue always admits (a single frame above the watermark must
@@ -212,7 +222,7 @@ bool ReplicationSource::EnqueueLocked(Link* link, const std::string& bytes,
   // max(watermark, one frame), not blocked at zero.
   const bool fits =
       link->send_queue.empty() ||
-      (link->queued_bytes + bytes.size() <= options_.send_queue_high_bytes &&
+      (link->queued_bytes + frame->size() <= options_.send_queue_high_bytes &&
        link->send_queue.size() + 1 <= options_.send_queue_high_frames);
   if (!fits) {
     if (is_data && !link->stale) {
@@ -228,15 +238,16 @@ bool ReplicationSource::EnqueueLocked(Link* link, const std::string& bytes,
     }
     return false;
   }
-  link->send_queue.push_back(bytes);
-  link->queued_bytes += bytes.size();
+  link->send_queue.push_back(frame);
+  link->queued_bytes += frame->size();
   UpdateQueueGaugesLocked(link);
   return true;
 }
 
-void ReplicationSource::EnqueueForcedLocked(Link* link, std::string bytes) {
-  link->queued_bytes += bytes.size();
-  link->send_queue.push_back(std::move(bytes));
+void ReplicationSource::EnqueueForcedLocked(Link* link,
+                                            const SharedFrame& frame) {
+  link->queued_bytes += frame->size();
+  link->send_queue.push_back(frame);
   UpdateQueueGaugesLocked(link);
 }
 
@@ -248,26 +259,21 @@ void ReplicationSource::PrepareBaseLocked(Link* link) {
   }
   link->needs_base = false;
   link->stale = false;
-  io::Writer writer;
-  const Status status = head_->SaveState(&writer);
-  if (!status.ok()) {
-    head_status_ = status;
-    return;
+  if (head_base_frame_ == nullptr) {
+    // A head reached through deltas is serialized now (a head published as
+    // a base already has its frame); every later link rebased at this head
+    // reuses the frame.
+    io::Writer writer;
+    const Status status = head_->SaveState(&writer);
+    if (!status.ok()) {
+      head_status_ = status;
+      return;
+    }
+    head_base_frame_ = Share(EncodeFrame(FrameKind::kBase, head_generation_,
+                                         head_step_, writer.buffer()));
   }
-  if (!head_aux_.empty()) {
-    Frame aux_frame;
-    aux_frame.kind = FrameKind::kAux;
-    aux_frame.generation = head_generation_;
-    aux_frame.train_step = head_step_;
-    aux_frame.payload = head_aux_;
-    EnqueueForcedLocked(link, EncodeFrame(aux_frame));
-  }
-  Frame base;
-  base.kind = FrameKind::kBase;
-  base.generation = head_generation_;
-  base.train_step = head_step_;
-  base.payload = writer.Release();
-  EnqueueForcedLocked(link, EncodeFrame(base));
+  if (head_aux_frame_ != nullptr) EnqueueForcedLocked(link, head_aux_frame_);
+  EnqueueForcedLocked(link, head_base_frame_);
   link->caught_up = true;
   ++link->base_resyncs;
   ++base_resyncs_;
@@ -306,7 +312,7 @@ void ReplicationSource::UpdateQueueGaugesLocked(Link* link) {
 
 void ReplicationSource::SenderLoop(Link* link) {
   while (true) {
-    std::string bytes;
+    SharedFrame frame;
     {
       std::unique_lock<std::mutex> lock(mu_);
       send_cv_.wait(lock, [&] {
@@ -320,25 +326,26 @@ void ReplicationSource::SenderLoop(Link* link) {
         PrepareBaseLocked(link);
         if (link->send_queue.empty()) continue;  // head error; stay parked
       }
-      bytes = std::move(link->send_queue.front());
+      frame = std::move(link->send_queue.front());
       link->send_queue.pop_front();
-      link->queued_bytes -= bytes.size();
+      link->queued_bytes -= frame->size();
       UpdateQueueGaugesLocked(link);
     }
     // The write happens OUTSIDE mu_: it may block on transport
-    // backpressure, and Publish must never wait on a slow link.
-    const Status status = link->channel->Write(bytes.data(), bytes.size());
+    // backpressure, and Publish must never wait on a slow link. Other
+    // senders may be writing the same shared frame; it is never mutated.
+    const Status status = link->channel->Write(frame->data(), frame->size());
     std::lock_guard<std::mutex> lock(mu_);
     if (!status.ok()) {
       link->alive = false;
       send_cv_.notify_all();
       return;
     }
-    link->bytes_sent += bytes.size();
+    link->bytes_sent += frame->size();
     ++frames_sent_;
-    bytes_sent_ += bytes.size();
+    bytes_sent_ += frame->size();
     obs_frames_->Add(1);
-    obs_bytes_->Add(bytes.size());
+    obs_bytes_->Add(frame->size());
   }
 }
 
@@ -376,12 +383,12 @@ void ReplicationSource::ReaderLoop(Link* link) {
             bool overflow = false;
             for (const HistoryEntry& entry : history_) {
               if (entry.generation <= frame.generation) continue;
-              if (!entry.aux_bytes.empty() &&
-                  !EnqueueLocked(link, entry.aux_bytes, true)) {
+              if (entry.aux != nullptr &&
+                  !EnqueueLocked(link, entry.aux, true)) {
                 overflow = true;
                 break;
               }
-              if (!EnqueueLocked(link, entry.data_bytes, true)) {
+              if (!EnqueueLocked(link, entry.data, true)) {
                 overflow = true;
                 break;
               }
@@ -441,6 +448,7 @@ void ReplicationSource::MaintenanceLoop() {
                              [&] { return shutdown_; });
     if (shutdown_) return;
     const uint64_t now = NowUs();
+    SharedFrame heartbeat;  // one frame per tick, shared by every link
     for (auto& link : links_) {
       if (!link->alive) continue;
       if (options_.liveness_timeout_us > 0 &&
@@ -454,11 +462,11 @@ void ReplicationSource::MaintenanceLoop() {
       }
       if (options_.heartbeat_interval_us > 0 && link->caught_up &&
           !link->stale) {
-        Frame heartbeat;
-        heartbeat.kind = FrameKind::kHeartbeat;
-        heartbeat.generation = head_generation_;
-        heartbeat.train_step = head_step_;
-        EnqueueLocked(link.get(), EncodeFrame(heartbeat), false);
+        if (heartbeat == nullptr) {
+          heartbeat = Share(EncodeFrame(FrameKind::kHeartbeat,
+                                        head_generation_, head_step_, ""));
+        }
+        EnqueueLocked(link.get(), heartbeat, false);
       }
     }
     send_cv_.notify_all();

@@ -37,6 +37,13 @@ namespace replicate {
 ///    the head, falling back to a full base when G predates the ring;
 ///  - replicas that keep up just get the per-cut frames fanned out.
 ///
+/// Frames are encoded once and shared: every link's send queue, the delta
+/// history ring and the cached head base hold the same immutable
+/// SharedFrame, so N replicas cost one encoded copy of each frame, not N+1.
+/// A published base is encoded once at publish and becomes the cached head
+/// base; a head reached through deltas is serialized on the first rebase
+/// and later joiners at the same head reuse that frame.
+///
 /// Flow control: every link owns a bounded send queue (byte + frame
 /// watermarks) drained by a dedicated sender thread, so Publish() NEVER
 /// blocks on a slow consumer and source memory is O(watermark x links)
@@ -166,8 +173,10 @@ class ReplicationSource {
     bool needs_base = false;
     /// Watermark crossed; cleared when the rebase is enqueued.
     bool stale = false;
-    /// Encoded frames awaiting the sender. Bounded by the watermarks.
-    std::deque<std::string> send_queue;
+    /// Encoded frames awaiting the sender (shared with other links and the
+    /// history ring). Bounded by the watermarks, which count each frame's
+    /// full size against every link that queues it.
+    std::deque<SharedFrame> send_queue;
     uint64_t queued_bytes = 0;
     uint64_t acked_generation = 0;
     uint64_t last_recv_us = 0;  // steady-clock stamp of last inbound frame
@@ -193,8 +202,8 @@ class ReplicationSource {
   /// as a live link would have received them.
   struct HistoryEntry {
     uint64_t generation = 0;
-    std::string aux_bytes;  // "" = no sidecar that generation
-    std::string data_bytes;
+    SharedFrame aux;  // null = no sidecar that generation
+    SharedFrame data;
   };
 
   void ReaderLoop(Link* link);
@@ -203,15 +212,16 @@ class ReplicationSource {
   /// Applies contiguous pending entries to the head store and fans the
   /// frames out to caught-up links. Caller holds mu_.
   void DrainLocked();
-  /// Admission control: enqueues `bytes` unless the watermark says no.
+  /// Admission control: enqueues `frame` unless the watermark says no.
   /// Returns false (and marks the link stale if `is_data`) on refusal.
   /// Caller holds mu_.
-  bool EnqueueLocked(Link* link, const std::string& bytes, bool is_data);
+  bool EnqueueLocked(Link* link, const SharedFrame& frame, bool is_data);
   /// Unconditional enqueue (bases and their sidecars). Caller holds mu_.
-  void EnqueueForcedLocked(Link* link, std::string bytes);
-  /// SaveStates the head and enqueues it (aux first) as a kBase; marks the
-  /// link caught up. Called by the SENDER with an empty queue, and by the
-  /// hello path when there is already a head. Caller holds mu_.
+  void EnqueueForcedLocked(Link* link, const SharedFrame& frame);
+  /// Enqueues the head as a kBase (aux first), serializing the head store
+  /// on first use when the head was reached through deltas; marks the link
+  /// caught up. Called by the SENDER with an empty queue.
+  /// Caller holds mu_.
   void PrepareBaseLocked(Link* link);
   /// True when the ring contiguously covers (G, head]: hello(G) can be
   /// served as deltas. Caller holds mu_.
@@ -230,9 +240,13 @@ class ReplicationSource {
   Status head_status_;
   uint64_t head_generation_ = 0;
   uint64_t head_step_ = 0;
-  /// Aux sidecar of the head generation (encoded; "" = none) — resent with
-  /// every base so a rejoining replica gets matching dense weights.
-  std::string head_aux_;
+  /// kAux frame of the head generation (null = none) — resent with every
+  /// base so a rejoining replica gets matching dense weights.
+  SharedFrame head_aux_frame_;
+  /// kBase frame at the head generation (encoded at publish for a base,
+  /// on first demand for a delta head), shared by every link rebased at
+  /// this head; reset when the head moves.
+  SharedFrame head_base_frame_;
   std::map<uint64_t, PendingEntry> pending_;
   /// Contiguous encoded deltas ending at head_generation_ (cleared by a
   /// base publish, pruned to delta_history_generations).

@@ -27,13 +27,35 @@ namespace {
 /// block); otherwise Append waits for the reader to drain space, which is
 /// the backpressure the flow-control tests lean on. Both endpoints hold the
 /// lane via shared_ptr so either side may be destroyed first.
+///
+/// Unread bytes are data[head, data.size()). Reads advance `head` and the
+/// dead prefix is compacted only once it dominates (as FrameParser does),
+/// so draining an n-byte frame costs O(n), not O(n^2).
 struct PipeLane {
   explicit PipeLane(size_t capacity_bytes) : capacity(capacity_bytes) {}
+
+  size_t unread() const { return data.size() - head; }
+
+  /// Copies up to `max` unread bytes out. Caller holds mu.
+  size_t Take(void* out, size_t max) {
+    const size_t n = std::min(max, unread());
+    std::memcpy(out, data.data() + head, n);
+    head += n;
+    if (head == data.size()) {
+      data.clear();
+      head = 0;
+    } else if (head > 4096 && head >= data.size() / 2) {
+      data.erase(0, head);
+      head = 0;
+    }
+    return n;
+  }
 
   const size_t capacity;
   std::mutex mu;
   std::condition_variable cv;
   std::string data;
+  size_t head = 0;
   bool closed = false;
 
   /// Blocks until the bytes fit (an oversized write goes through alone once
@@ -44,8 +66,8 @@ struct PipeLane {
     std::unique_lock<std::mutex> lock(mu);
     if (!force && capacity != 0) {
       cv.wait(lock, [&] {
-        return closed || data.size() + size <= capacity ||
-               (data.empty() && size > capacity);
+        return closed || unread() + size <= capacity ||
+               (unread() == 0 && size > capacity);
       });
     }
     if (closed) return false;
@@ -150,11 +172,9 @@ class PipeChannel : public ByteChannel {
   StatusOr<size_t> Read(void* out, size_t max) override {
     if (max == 0) return size_t{0};
     std::unique_lock<std::mutex> lock(in_->mu);
-    in_->cv.wait(lock, [&] { return !in_->data.empty() || in_->closed; });
-    if (in_->data.empty()) return size_t{0};  // closed and drained
-    const size_t n = std::min(max, in_->data.size());
-    std::memcpy(out, in_->data.data(), n);
-    in_->data.erase(0, n);
+    in_->cv.wait(lock, [&] { return in_->unread() != 0 || in_->closed; });
+    if (in_->unread() == 0) return size_t{0};  // closed and drained
+    const size_t n = in_->Take(out, max);
     in_->cv.notify_all();  // a bounded lane's writer may be capacity-blocked
     return n;
   }

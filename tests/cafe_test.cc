@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/theory.h"
+#include "io/serialize.h"
 
 namespace cafe {
 namespace {
@@ -87,6 +88,44 @@ TEST(CafeEmbeddingTest, CreatesWithinBudget) {
   EXPECT_LE((*store)->MemoryBytes(),
             config.embedding.BudgetBytes() + 16 * sizeof(float));
   EXPECT_EQ((*store)->Name(), "cafe");
+}
+
+// SaveState and SaveDelta size their output up front from the plan shapes
+// and the dirty-set counts, so the writer allocates once, exactly the bytes
+// written, and never regrows (a regrowth re-copies the tables). On an empty
+// writer std::string::reserve allocates exactly the request.
+TEST(CafeEmbeddingTest, SaveStateAndSaveDeltaReserveExactlyWhatTheyWrite) {
+  CafeConfig config = MakeCafeConfig(10000, 8, 50);
+  config.use_multi_level = true;
+  config.decay_interval = 3;
+  auto store = CafeEmbedding::Create(config);
+  ASSERT_TRUE(store.ok());
+  std::vector<float> grad(8, 0.5f);
+  uint64_t id = 1;
+  auto train = [&](int ticks) {
+    for (int t = 0; t < ticks; ++t) {
+      for (int k = 0; k < 200; ++k) {
+        id = (id * 7919 + 13) % 10000;
+        (*store)->ApplyGradient(id % (k < 100 ? 50 : 10000), grad.data(),
+                                0.01f);
+      }
+      (*store)->Tick();
+    }
+  };
+  train(7);
+  io::Writer state;
+  ASSERT_TRUE((*store)->SaveState(&state).ok());
+  EXPECT_EQ(state.buffer().capacity(), state.size());
+
+  ASSERT_TRUE((*store)->EnableDirtyTracking().ok());
+  // Two ticks per round with decay every third: rounds with and without a
+  // maintenance section.
+  for (int round = 0; round < 4; ++round) {
+    train(2);
+    io::Writer delta;
+    ASSERT_TRUE((*store)->SaveDelta(&delta).ok());
+    EXPECT_EQ(delta.buffer().capacity(), delta.size()) << "round " << round;
+  }
 }
 
 TEST(CafeEmbeddingTest, MultiLevelName) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <limits>
 #include <memory>
@@ -42,6 +43,31 @@ TEST(SerializeTest, ZeroLengthPayloadsRoundTrip) {
   ASSERT_TRUE(reader.ReadBytes(nullptr, 0).ok());
   uint8_t byte = 0;
   EXPECT_EQ(reader.ReadU8(&byte).code(), StatusCode::kOutOfRange);
+}
+
+TEST(SerializeTest, ReserveMakesRoomWithoutRegrowth) {
+  io::Writer writer;
+  writer.WriteU32(1);
+  writer.Reserve(1000);  // 1000 bytes beyond what is already written
+  const char* before = writer.buffer().data();
+  for (uint64_t i = 0; i < 125; ++i) writer.WriteU64(i);
+  EXPECT_EQ(writer.buffer().data(), before);  // never reallocated
+  EXPECT_EQ(writer.size(), 1004u);
+}
+
+TEST(SerializeTest, FingerprintExtendsAcrossChunks) {
+  std::string bytes;
+  for (int i = 0; i < 1000; ++i) bytes.push_back(static_cast<char>(i * 37));
+  const uint64_t whole = io::Fingerprint(bytes.data(), bytes.size());
+  for (const size_t chunk : {size_t{1}, size_t{7}, size_t{999}}) {
+    uint64_t state = io::kFingerprintBasis;
+    for (size_t at = 0; at < bytes.size(); at += chunk) {
+      state = io::FingerprintExtend(state, bytes.data() + at,
+                                    std::min(chunk, bytes.size() - at));
+    }
+    EXPECT_EQ(state, whole) << "chunk " << chunk;
+  }
+  EXPECT_EQ(io::Fingerprint(nullptr, 0), io::kFingerprintBasis);
 }
 
 TEST(SerializeTest, EmptyBufferReader) {

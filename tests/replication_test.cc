@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -248,6 +249,179 @@ TEST(FrameCodecTest, AuxRoundTripAndTrailingBytesRejected) {
   EXPECT_FALSE(DecodeAux(encoded + "x", &reject).ok());
 }
 
+// The wire layout built by hand, field by field (little-endian fixed width,
+// then FNV-1a over everything before the trailer).
+std::string HandBuiltFrame(FrameKind kind, uint64_t generation,
+                           uint64_t train_step, const std::string& payload) {
+  std::string bytes;
+  auto put = [&bytes](const void* data, size_t size) {
+    bytes.append(static_cast<const char*>(data), size);
+  };
+  const uint32_t magic = replicate::kFrameMagic;
+  const uint8_t kind_byte = static_cast<uint8_t>(kind);
+  const uint64_t payload_size = payload.size();
+  put(&magic, sizeof(magic));
+  put(&kind_byte, sizeof(kind_byte));
+  put(&generation, sizeof(generation));
+  put(&train_step, sizeof(train_step));
+  put(&payload_size, sizeof(payload_size));
+  bytes += payload;
+  const uint64_t fp = io::Fingerprint(bytes.data(), bytes.size());
+  put(&fp, sizeof(fp));
+  return bytes;
+}
+
+std::string RandomPayload(size_t bytes, uint64_t seed) {
+  Rng rng(seed);
+  std::string payload(bytes, '\0');
+  for (char& c : payload) c = static_cast<char>(rng.Next() & 0xff);
+  return payload;
+}
+
+TEST(FrameCodecTest, WireFormatIsPinnedByteForByte) {
+  Frame aux = MakeDataFrame(FrameKind::kAux, 1ull << 40, 0, ' ');
+  aux.train_step = ~0ull;
+  aux.payload = RandomPayload(4099, 11);
+  const Frame frames[] = {
+      MakeDataFrame(FrameKind::kHeartbeat, 0, 0, ' '),
+      MakeDataFrame(FrameKind::kDelta, 7, 1000, 'q'),
+      aux,
+  };
+  for (const Frame& frame : frames) {
+    const std::string want = HandBuiltFrame(frame.kind, frame.generation,
+                                            frame.train_step, frame.payload);
+    ASSERT_EQ(want.size(), replicate::kFrameOverheadBytes + frame.payload.size());
+    EXPECT_EQ(EncodeFrame(frame), want);
+    EXPECT_EQ(EncodeFrame(frame.kind, frame.generation, frame.train_step,
+                          frame.payload),
+              want);
+  }
+  // The magic reads "CAFE" on the wire.
+  EXPECT_EQ(HandBuiltFrame(FrameKind::kAck, 0, 0, "").substr(0, 4), "CAFE");
+}
+
+/// Small base, a multi-megabyte delta, small delta: the stream the
+/// streaming-verification tests feed. `*big_offset` / `*big_size` locate
+/// the middle frame's encoded bytes.
+std::vector<Frame> BigFrameStream(std::string* stream, size_t* big_offset,
+                                  size_t* big_size) {
+  Frame big = MakeDataFrame(FrameKind::kDelta, 2, 0, ' ');
+  big.payload = RandomPayload((2u << 20) + 123, 5);
+  std::vector<Frame> frames = {MakeDataFrame(FrameKind::kBase, 1, 100, 'a'),
+                               big,
+                               MakeDataFrame(FrameKind::kDelta, 3, 50, 'c')};
+  stream->clear();
+  for (const Frame& frame : frames) {
+    if (frame.generation == 2) *big_offset = stream->size();
+    *stream += EncodeFrame(frame);
+  }
+  *big_size = replicate::kFrameOverheadBytes + big.payload.size();
+  return frames;
+}
+
+/// Feeds `stream` in `chunk`-byte pieces, draining Next() after each.
+std::vector<Frame> FeedInChunks(FrameParser* parser, const std::string& stream,
+                                size_t chunk) {
+  std::vector<Frame> parsed;
+  Frame out;
+  for (size_t at = 0; at < stream.size(); at += chunk) {
+    parser->Feed(stream.data() + at, std::min(chunk, stream.size() - at));
+    while (true) {
+      const FrameParser::Result result = parser->Next(&out);
+      if (result == FrameParser::Result::kNeedMore) break;
+      if (result == FrameParser::Result::kFrame) parsed.push_back(out);
+    }
+  }
+  return parsed;
+}
+
+// One byte at a time, odd sizes, a page, a socket-sized read, and the whole
+// stream at once.
+const size_t kChunkSizes[] = {1, 7, 4096, 262144, SIZE_MAX};
+
+TEST(FrameCodecTest, StreamedVerificationAcceptsEveryChunking) {
+  std::string stream;
+  size_t big_offset = 0, big_size = 0;
+  const std::vector<Frame> frames =
+      BigFrameStream(&stream, &big_offset, &big_size);
+  for (const size_t chunk : kChunkSizes) {
+    SCOPED_TRACE("chunk " + std::to_string(chunk));
+    FrameParser parser;
+    const std::vector<Frame> parsed = FeedInChunks(&parser, stream, chunk);
+    ASSERT_EQ(parsed.size(), frames.size());
+    for (size_t i = 0; i < frames.size(); ++i) {
+      EXPECT_EQ(parsed[i].kind, frames[i].kind);
+      EXPECT_EQ(parsed[i].generation, frames[i].generation);
+      EXPECT_EQ(parsed[i].train_step, frames[i].train_step);
+      EXPECT_TRUE(parsed[i].payload == frames[i].payload) << "frame " << i;
+    }
+    EXPECT_EQ(parser.corrupt_events(), 0u);
+    EXPECT_EQ(parser.buffered_bytes(), 0u);
+  }
+}
+
+TEST(FrameCodecTest, StreamedVerificationRejectsAFlipAnywhereInTheFrame) {
+  std::string stream;
+  size_t big_offset = 0, big_size = 0;
+  const std::vector<Frame> frames =
+      BigFrameStream(&stream, &big_offset, &big_size);
+  const struct {
+    const char* where;
+    size_t offset;  // within the big frame
+  } flips[] = {
+      {"header (generation)", 5},
+      {"first payload byte", replicate::kFrameHeaderBytes},
+      {"last payload byte", big_size - 9},
+      {"trailer", big_size - 1},
+  };
+  for (const auto& flip : flips) {
+    std::string damaged = stream;
+    damaged[big_offset + flip.offset] ^= 0x01;
+    for (const size_t chunk : kChunkSizes) {
+      SCOPED_TRACE(std::string(flip.where) + ", chunk " +
+                   std::to_string(chunk));
+      FrameParser parser;
+      const std::vector<Frame> parsed = FeedInChunks(&parser, damaged, chunk);
+      // Only the damaged frame is lost; the parser re-locks on the next.
+      ASSERT_EQ(parsed.size(), 2u);
+      EXPECT_EQ(parsed[0].generation, 1u);
+      EXPECT_EQ(parsed[1].generation, 3u);
+      EXPECT_EQ(parsed[1].payload, frames[2].payload);
+      EXPECT_GE(parser.corrupt_events(), 1u);
+      EXPECT_EQ(parser.buffered_bytes(), 0u);
+    }
+  }
+}
+
+// A well-formed header may declare up to kMaxFramePayloadBytes, but until
+// the bytes arrive (and the fingerprint vouches for them) the declared
+// length must not size anything: the receive buffer tracks what was fed.
+TEST(FrameCodecTest, UnverifiedLengthNeverSizesTheReceiveBuffer) {
+  io::Writer header;
+  header.WriteU32(replicate::kFrameMagic);
+  header.WriteU8(static_cast<uint8_t>(FrameKind::kDelta));
+  header.WriteU64(9);
+  header.WriteU64(90);
+  header.WriteU64(1ull << 30);  // ~1 GiB declared
+  const std::string head = header.buffer() + std::string(100, 'z');
+
+  FrameParser parser;
+  Frame out;
+  parser.Feed(head.data(), head.size());
+  EXPECT_EQ(parser.Next(&out), FrameParser::Result::kNeedMore);
+  EXPECT_LE(parser.buffer_capacity(), std::max<size_t>(4096, 2 * head.size()));
+
+  size_t fed = head.size();
+  const std::string more(64 << 10, 'z');
+  for (int i = 0; i < 16; ++i) {
+    parser.Feed(more.data(), more.size());
+    fed += more.size();
+    EXPECT_EQ(parser.Next(&out), FrameParser::Result::kNeedMore);
+    EXPECT_LE(parser.buffer_capacity(), 2 * fed);
+  }
+  EXPECT_EQ(parser.buffered_bytes(), fed);
+}
+
 // ---------------------------------------------------------------------------
 // Source -> replica streaming rig.
 // ---------------------------------------------------------------------------
@@ -260,7 +434,12 @@ class ReplicationRig {
  public:
   ReplicationRig(const std::string& store_name, double cr,
                  ReplicationSource::Options source_options = {})
-      : name_(store_name), context_(MakeContext(cr)), stream_(777) {
+      : ReplicationRig(store_name, MakeContext(cr), source_options) {}
+
+  ReplicationRig(const std::string& store_name,
+                 const StoreFactoryContext& context,
+                 ReplicationSource::Options source_options = {})
+      : name_(store_name), context_(context), stream_(777) {
     auto live = MakeStore(name_, context_);
     EXPECT_TRUE(live.ok()) << live.status().ToString();
     live_ = std::move(live).value();
@@ -570,6 +749,24 @@ TEST(ReplicationLifecycleTest, SourceTracksPerReplicaLag) {
   EXPECT_TRUE(stats.head_status.ok()) << stats.head_status.ToString();
 }
 
+// A base of more than 32 MB over the in-process pipe. Pipe reads advance a
+// head offset (compacting only when the dead prefix dominates) rather than
+// erasing the lane's front per read, so the frame drains in linear time,
+// well inside the replica wait.
+TEST(ReplicationLifecycleTest, LargeBaseOverPipeArrivesByteEqual) {
+  StoreFactoryContext context = MakeContext(1.0);
+  context.embedding.total_features = 1u << 20;  // x 8 floats = 32 MiB
+  context.layout = FieldLayout({1u << 20});
+  ReplicationRig rig("full", context);
+  ReplicaManager* replica = rig.AddPipeReplica();
+  rig.TrainAndCut(2);
+  EXPECT_GE(rig.manager()->stats().last_copy_bytes, 32u << 20);
+  rig.ExpectReplicaByteIdentical(replica, "32 MB base over the pipe");
+  const ReplicaManager::Stats stats = replica->stats();
+  EXPECT_EQ(stats.bases_applied, 1u);
+  EXPECT_EQ(stats.corrupt_frames, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Typed transport statuses: flow control and the reconnect loop decide
 // retry-vs-give-up from these codes, so they are contract, not detail.
@@ -714,6 +911,44 @@ TEST(DurableLogTest, LoadRestoresTheNewestValidChainAndPrunesDamage) {
   ASSERT_EQ(after->frames.size(), 1u);
 }
 
+// Ledger files are raw wire frames. These bytes are what the previous
+// encoder (a growing io::Writer, before frames were encoded into one
+// presized shared buffer) wrote for base 3 and delta 4; they must keep
+// loading, and today's encoder must still produce them.
+TEST(DurableLogTest, LedgerWrittenByTheEarlierEncoderStillLoads) {
+  const std::string base(
+      "\x43\x41\x46\x45\x01\x03\x00\x00\x00\x00\x00\x00\x00\x1e\x00\x00"
+      "\x00\x00\x00\x00\x00\x06\x00\x00\x00\x00\x00\x00\x00\x62\x61\x73"
+      "\x65\x40\x33\x54\x0f\x8f\x33\xde\x02\x4c\xb6",
+      43);
+  const std::string delta(
+      "\x43\x41\x46\x45\x02\x04\x00\x00\x00\x00\x00\x00\x00\x28\x00\x00"
+      "\x00\x00\x00\x00\x00\x07\x00\x00\x00\x00\x00\x00\x00\x64\x65\x6c"
+      "\x74\x61\x40\x34\xb5\xd8\x62\x6b\x38\xe7\x53\x22",
+      44);
+  EXPECT_EQ(EncodeFrame(FrameKind::kBase, 3, 30, "base@3"), base);
+  EXPECT_EQ(EncodeFrame(FrameKind::kDelta, 4, 40, "delta@4"), delta);
+
+  const std::string dir = FreshDir("cafe_durable_golden");
+  ASSERT_TRUE(
+      io::WriteFileAtomic(dir + "/base-00000000000000000003.frame", base)
+          .ok());
+  ASSERT_TRUE(
+      io::WriteFileAtomic(dir + "/delta-00000000000000000004.frame", delta)
+          .ok());
+  replicate::DurableReplicaLog log(dir);
+  ASSERT_TRUE(log.Init().ok());
+  auto restored = log.Load();
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(restored->generation, 4u);
+  EXPECT_EQ(restored->train_step, 40u);
+  ASSERT_EQ(restored->frames.size(), 2u);
+  EXPECT_EQ(restored->frames[0].kind, FrameKind::kBase);
+  EXPECT_EQ(restored->frames[0].payload, "base@3");
+  EXPECT_EQ(restored->frames[1].kind, FrameKind::kDelta);
+  EXPECT_EQ(restored->frames[1].payload, "delta@4");
+}
+
 // ---------------------------------------------------------------------------
 // Durable rejoin: kill the replica at EVERY generation, restart it from its
 // ledger, and check the rejoin path the source chose (delta catch-up from
@@ -768,6 +1003,84 @@ TEST(ReplicaRejoinTest, KillAtEveryGenerationRejoinsViaDeltaOrBase) {
     }
     EXPECT_TRUE(stats.fatal.ok()) << stats.fatal.ToString();
   }
+}
+
+// Fan-out shares one encoded frame across every link and the delta history
+// ring. Three replicas ride a base and deltas; one is killed and rejoins
+// with hello(G), served from the ring. All three must end byte-equal to
+// the source (any path that mutated a shared frame would break one of
+// them), and each link's counters still charge it every frame it was sent.
+TEST(ReplicationLifecycleTest, SharedFramesReachEveryLinkUnchanged) {
+  ReplicationSource::Options source_options;
+  source_options.delta_history_generations = 8;
+  ReplicationRig rig("cafe", 20.0, source_options);
+  ReplicaManager* a = rig.AddPipeReplica();
+  ReplicaManager* b = rig.AddPipeReplica();
+  ReplicaManager::Options durable;
+  durable.name = "fanout_rejoin";
+  durable.durable_dir = FreshDir("cafe_fanout_rejoin");
+  ReplicaManager* c = rig.AddReplicaOnTransport(MakePipeTransport(), durable);
+
+  // Every cut is one data frame (no model, so no aux sidecar).
+  uint64_t all_bytes = 0;  // sent to a link that saw every generation
+  auto cut = [&rig, &all_bytes](size_t batches) {
+    rig.TrainAndCut(batches);
+    const uint64_t bytes = replicate::kFrameOverheadBytes +
+                           rig.manager()->stats().last_copy_bytes;
+    all_bytes += bytes;
+    return bytes;
+  };
+  cut(5);
+  for (ReplicaManager* replica : {a, b, c}) {
+    ASSERT_TRUE(replica->WaitForGeneration(1, kWaitUs).ok());
+  }
+  cut(10);
+  cut(10);
+  ASSERT_TRUE(c->WaitForGeneration(3, kWaitUs).ok());
+  const uint64_t killed_bytes = all_bytes;
+  c->Shutdown();  // killed at generation 3; its ledger survives
+
+  uint64_t catchup_bytes = 0;
+  for (int k = 0; k < 3; ++k) catchup_bytes += cut(10);  // generations 4-6
+  ReplicaManager* rejoined =
+      rig.AddReplicaOnTransport(MakePipeTransport(), durable);
+  ASSERT_TRUE(rejoined->WaitForGeneration(6, kWaitUs).ok());
+  catchup_bytes += cut(10);  // generation 7 reaches everyone
+
+  rig.ExpectReplicaByteIdentical(a, "replica a");
+  rig.ExpectReplicaByteIdentical(b, "replica b");
+  rig.ExpectReplicaByteIdentical(rejoined, "rejoined replica");
+  const ReplicaManager::Stats rejoin_stats = rejoined->stats();
+  EXPECT_EQ(rejoin_stats.restored_generation, 3u);
+  EXPECT_EQ(rejoin_stats.bases_applied, 0u);
+  EXPECT_EQ(rejoin_stats.deltas_applied, 4u);
+
+  // Links 0-1 are a and b, 2 the killed c, 3 its rejoin. A sender counts a
+  // frame just after its write returns, so poll until the counters settle.
+  const uint64_t want[] = {all_bytes, all_bytes, killed_bytes, catchup_bytes};
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::microseconds(kWaitUs);
+  ReplicationSource::Stats stats = rig.source()->stats();
+  auto settled = [&stats, &want] {
+    for (size_t i = 0; i < 4; ++i) {
+      if (stats.replicas[i].bytes_sent != want[i]) return false;
+    }
+    return true;
+  };
+  ASSERT_EQ(stats.replicas.size(), 4u);
+  while (!settled() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    stats = rig.source()->stats();
+  }
+  uint64_t total = 0;
+  for (size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(stats.replicas[i].bytes_sent, want[i]) << "link " << i;
+    EXPECT_EQ(stats.replicas[i].send_queue_bytes, 0u) << "link " << i;
+    EXPECT_EQ(stats.replicas[i].send_queue_frames, 0u) << "link " << i;
+    total += stats.replicas[i].bytes_sent;
+  }
+  EXPECT_EQ(stats.bytes_sent, total);
+  EXPECT_EQ(stats.delta_catchups, 1u);
 }
 
 // ---------------------------------------------------------------------------
