@@ -13,8 +13,7 @@ FaultyChannel::FaultyChannel(std::unique_ptr<ByteChannel> inner)
 
 FaultyChannel::~FaultyChannel() { Close(); }
 
-void FaultyChannel::Arm(FaultPlan::Action action, uint64_t in_frames,
-                        uint64_t arg) {
+void FaultyChannel::Arm(Action action, uint64_t in_frames, uint64_t arg) {
   std::lock_guard<std::mutex> lock(mu_);
   armed_ = true;
   action_ = action;
@@ -34,9 +33,9 @@ uint64_t FaultyChannel::frames_written() const {
 }
 
 Status FaultyChannel::Write(const void* data, size_t size) {
-  // Same decide-under-lock / emit-outside-lock shape as PipeChannel: the
-  // inner Write may block (bounded pipe, stalled socket), and holding mu_
-  // through it would wedge Arm/SetStalled/Close.
+  // Decide under the lock, emit outside it: the inner Write may block
+  // (bounded pipe, stalled socket), and holding mu_ through it would wedge
+  // Arm/SetStalled/Close.
   bool emit = true;
   const char* direct = nullptr;
   size_t direct_size = 0;
@@ -52,28 +51,28 @@ Status FaultyChannel::Write(const void* data, size_t size) {
     if (armed_ && index == fire_at_) {
       armed_ = false;
       switch (action_) {
-        case FaultPlan::Action::kDrop:
+        case Action::kDrop:
           emit = false;
           break;
-        case FaultPlan::Action::kTruncate: {
+        case Action::kTruncate: {
           size_t keep = arg_ != 0 ? static_cast<size_t>(arg_) : size / 2;
           keep = std::min(keep, size > 0 ? size - 1 : 0);
           owned.assign(static_cast<const char*>(data), keep);
           break;
         }
-        case FaultPlan::Action::kCorrupt:
+        case Action::kCorrupt:
           owned.assign(static_cast<const char*>(data), size);
           if (!owned.empty()) {
             owned[static_cast<size_t>(arg_) % owned.size()] ^=
                 static_cast<char>(0xff);
           }
           break;
-        case FaultPlan::Action::kReorder:
+        case Action::kReorder:
           held_.assign(static_cast<const char*>(data), size);
           has_held_ = true;
           emit = false;
           break;
-        case FaultPlan::Action::kDelay:
+        case Action::kDelay:
           delay_us = arg_;
           direct = static_cast<const char*>(data);
           direct_size = size;

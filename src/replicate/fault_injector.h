@@ -13,22 +13,30 @@
 namespace cafe {
 namespace replicate {
 
-/// Wraps any ByteChannel and injects faults on the Write path at runtime —
-/// unlike FaultPlan (fixed schedule at transport construction), faults are
-/// Arm()ed between episodes while the link is live, which is what the chaos
-/// soak needs. Also models a slow consumer: SetStalled(true) blocks every
-/// Write until unstalled (the channel stays open, bytes just stop moving).
+/// Wraps any ByteChannel and injects faults on the Write path: one frame per
+/// Write by protocol contract, so a test can say "corrupt the 3rd frame"
+/// and get exactly that. Faults are Arm()ed at any time, including between
+/// chaos episodes while the link is live. Also models a slow consumer:
+/// SetStalled(true) blocks every Write until unstalled (the channel stays
+/// open, bytes just stop moving).
 ///
 /// Thread-safe: Arm/SetStalled may race Write/Read/Close.
 class FaultyChannel : public ByteChannel {
  public:
+  enum class Action {
+    kDrop,      ///< swallow the frame entirely (gap at the replica)
+    kTruncate,  ///< deliver only the first `arg` bytes (default: half)
+    kCorrupt,   ///< flip one byte at offset `arg` % size
+    kReorder,   ///< hold the frame, deliver it AFTER the next one
+    kDelay,     ///< deliver intact after sleeping `arg` microseconds
+  };
+
   explicit FaultyChannel(std::unique_ptr<ByteChannel> inner);
   ~FaultyChannel() override;
 
   /// One-shot: the `in_frames`-th Write from now (0 = the next one) gets
-  /// `action` applied (kDelay's sleep uses `arg` microseconds, kTruncate /
-  /// kCorrupt use it as in FaultPlan). Replaces any previously armed fault.
-  void Arm(FaultPlan::Action action, uint64_t in_frames, uint64_t arg = 0);
+  /// `action` applied with `arg`. Replaces any previously armed fault.
+  void Arm(Action action, uint64_t in_frames, uint64_t arg = 0);
 
   /// While stalled, Write blocks (frames queue in the CALLER, not here).
   /// Unstalling releases blocked writers.
@@ -48,11 +56,11 @@ class FaultyChannel : public ByteChannel {
   bool stalled_ = false;
   bool closed_ = false;
   bool armed_ = false;
-  FaultPlan::Action action_ = FaultPlan::Action::kDrop;
+  Action action_ = Action::kDrop;
   uint64_t fire_at_ = 0;  // absolute frame index the armed fault fires at
   uint64_t arg_ = 0;
   uint64_t frames_written_ = 0;
-  std::string held_;  // reorder hold-back, same semantics as PipeChannel
+  std::string held_;  // kReorder hold-back (sent after the next frame)
   bool has_held_ = false;
 };
 

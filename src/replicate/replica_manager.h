@@ -4,7 +4,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -16,6 +15,7 @@
 #include "replicate/durable_log.h"
 #include "replicate/frame.h"
 #include "replicate/transport.h"
+#include "serve/double_buffer_publisher.h"
 #include "serve/snapshot_manager.h"
 #include "serve/swappable_store.h"
 
@@ -24,9 +24,7 @@ namespace replicate {
 
 /// The replica end of a replication link: consumes the frame stream from a
 /// ReplicationSource and republishes each generation locally, through the
-/// SAME double-buffered O(dirty) machinery the source-side SnapshotManager
-/// uses — two resident buffer stores, delta replay into the non-serving
-/// one, FrozenStore::AdoptShared freeze, lease-gated reclaim — feeding a
+/// same DoubleBufferPublisher the source-side SnapshotManager uses, into a
 /// local SwappableStore that a local InferenceServer serves from.
 ///
 /// Lifecycle, driven entirely by the stream:
@@ -54,10 +52,10 @@ namespace replicate {
 ///    liveness_timeout_us (a half-open link looks exactly like silence),
 ///    which feeds the reconnect path.
 ///
-/// The apply thread is the only mutator of the buffers, so unlike the
-/// source-side manager there is no publish-turn sequencing; the lease
-/// machinery is still needed because serving pins (PinScopes) hold
-/// generations while the apply thread wants the buffer back.
+/// The apply thread is the only caller of the publisher, so unlike the
+/// source-side manager there is no publish-turn sequencing; the publisher's
+/// leases still matter because serving pins (PinScopes) hold generations
+/// while the apply thread wants the buffer back.
 class ReplicaManager {
  public:
   struct Options {
@@ -128,7 +126,7 @@ class ReplicaManager {
     uint64_t gap_frames = 0;
     /// kResync requests sent (one per poison transition).
     uint64_t resyncs_requested = 0;
-    /// Publishes that hit the lease-retire fallback.
+    /// Successful publishes that hit the lease-retire fallback.
     uint64_t retired_buffers = 0;
     uint64_t bytes_applied = 0;
     /// Successful channel redials (replicate.<name>.reconnects_total).
@@ -153,24 +151,6 @@ class ReplicaManager {
   void Shutdown();
 
  private:
-  struct PendingPayload {
-    uint64_t generation = 0;
-    bool is_delta = false;
-    std::shared_ptr<const std::string> payload;
-  };
-  /// One resident ping-pong buffer (apply-thread-owned; see class comment).
-  struct BufferSlot {
-    std::shared_ptr<EmbeddingStore> store;
-    uint64_t state_gen = 0;
-    std::deque<PendingPayload> pending;
-  };
-  struct LeaseState {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool leased[2] = {false, false};
-    uint64_t epoch[2] = {0, 0};
-  };
-
   void ApplyLoop();
   /// Reads the current channel until it ends; returns a fatal status to
   /// stop the loop for good, OK to try reconnecting.
@@ -182,26 +162,23 @@ class ReplicaManager {
   /// Dispatches one parsed frame; returns a fatal status to stop the loop.
   Status HandleFrame(Frame frame);
   /// Replays a restored ledger chain into serving state. On failure the
-  /// buffers are reset for a clean cold join.
+  /// publisher is reset for a clean cold join.
   void RestoreFromDurable();
   /// Appends an applied frame to the ledger (failure = counted, not fatal)
   /// and compacts when the delta tail is long. Apply thread only.
   void PersistFrame(const Frame& frame);
   void MaybeCompactDurable(uint64_t generation, uint64_t train_step);
-  /// Queues the payload to both buffers and publishes `generation` into
-  /// the local SwappableStore. `applied` (bases_applied / deltas_applied /
+  /// Publishes `generation` (its payloads already enqueued) into the local
+  /// SwappableStore. `applied` (bases_applied / deltas_applied /
   /// restores) is bumped in the SAME critical section that exposes the
   /// generation, so a stats() reader woken by WaitForGeneration never sees
   /// the count lag the generation. Apply thread only.
   Status PublishGeneration(uint64_t generation, uint64_t train_step,
                            uint64_t Stats::*applied);
-  /// Lease reclaim with the retire fallback. Apply thread only.
-  Status ReclaimOrRetire(size_t slot, uint64_t generation);
   /// Transition into the poisoned state and request a rebase (once).
   void EnterResync(const char* why);
   void SendControl(FrameKind kind, uint64_t generation);
 
-  SnapshotManager::FreshStoreFactory factory_;
   Options options_;
 
   std::thread apply_thread_;
@@ -209,19 +186,14 @@ class ReplicaManager {
   bool started_ = false;
 
   // Apply-thread-only state (no lock needed).
-  BufferSlot buffers_[2];
+  DoubleBufferPublisher publisher_;
   uint64_t current_generation_ = 0;
-  /// Publishes alternate slots by SEQUENCE (a rebase may jump the
-  /// generation by any amount, including an even one).
-  uint64_t publish_seq_ = 0;
   bool awaiting_base_ = true;  // poisoned or never synced: deltas skipped
   bool have_aux_ = false;
   uint64_t aux_generation_ = 0;
   AuxState aux_;
   std::unique_ptr<DurableReplicaLog> durable_;
   uint64_t jitter_state_ = 0;  // backoff jitter PRNG state
-
-  std::shared_ptr<LeaseState> leases_;
 
   /// Serializes channel Writes only (frame bytes must not interleave).
   /// NEVER taken by a close path: Shutdown and the watchdog copy the

@@ -6,6 +6,7 @@
 
 #include "common/logging.h"
 #include "io/serialize.h"
+#include "serve/double_buffer_publisher.h"
 
 namespace cafe {
 namespace replicate {
@@ -141,13 +142,8 @@ void ReplicationSource::DrainLocked() {
 
     // Fold into the head store so a base for late joiners is always one
     // SaveState away.
-    io::Reader reader(entry.payload.get());
-    Status status = entry.is_delta ? head_->LoadDelta(&reader)
-                                   : head_->LoadState(&reader);
-    if (status.ok() && reader.remaining() != 0) {
-      status = Status::Internal(
-          "replication payload not fully consumed by the head store");
-    }
+    const Status status =
+        ApplyPayload(head_.get(), entry.is_delta, *entry.payload);
     if (!status.ok()) {
       // The head diverged from the trainer: stop streaming rather than
       // ship frames a resync could not repair. stats() exposes the cause.

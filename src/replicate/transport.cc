@@ -15,8 +15,6 @@
 #include <fcntl.h>
 #include <mutex>
 #include <string>
-#include <thread>
-#include <unordered_map>
 #include <utility>
 
 namespace cafe {
@@ -60,11 +58,9 @@ struct PipeLane {
 
   /// Blocks until the bytes fit (an oversized write goes through alone once
   /// the lane drains empty) or the lane closes. Returns false iff closed.
-  /// `force` skips the capacity wait — used by Close's held-frame flush,
-  /// which must never block.
-  bool Append(const void* bytes, size_t size, bool force = false) {
+  bool Append(const void* bytes, size_t size) {
     std::unique_lock<std::mutex> lock(mu);
-    if (!force && capacity != 0) {
+    if (capacity != 0) {
       cv.wait(lock, [&] {
         return closed || unread() + size <= capacity ||
                (unread() == 0 && size > capacity);
@@ -85,87 +81,13 @@ struct PipeLane {
 
 class PipeChannel : public ByteChannel {
  public:
-  PipeChannel(std::shared_ptr<PipeLane> out, std::shared_ptr<PipeLane> in,
-              FaultPlan faults)
-      : out_(std::move(out)), in_(std::move(in)) {
-    for (const FaultPlan::Rule& rule : faults.rules) {
-      faults_[rule.frame_index] = rule;
-    }
-  }
+  PipeChannel(std::shared_ptr<PipeLane> out, std::shared_ptr<PipeLane> in)
+      : out_(std::move(out)), in_(std::move(in)) {}
 
   ~PipeChannel() override { Close(); }
 
   Status Write(const void* data, size_t size) override {
-    // Decide what to emit under write_mu_, emit after releasing it: a
-    // bounded lane's Append blocks for capacity, and holding write_mu_
-    // through that wait would deadlock Close() (which takes write_mu_ to
-    // flush a reorder-held frame before closing the lane).
-    const char* direct = nullptr;  // emit caller bytes without copying
-    size_t direct_size = 0;
-    std::string owned;       // fault-modified bytes (emitted when !direct)
-    bool emit = true;        // false: kDrop / kReorder swallow the frame
-    std::string flush_held;  // previously held frame, emitted after
-    bool has_flush = false;
-    uint64_t delay_us = 0;
-    {
-      std::lock_guard<std::mutex> write_lock(write_mu_);
-      const uint64_t index = next_write_index_++;
-      const auto it = faults_.find(index);
-      if (it == faults_.end()) {
-        direct = static_cast<const char*>(data);
-        direct_size = size;
-      } else {
-        const FaultPlan::Rule& rule = it->second;
-        switch (rule.action) {
-          case FaultPlan::Action::kDrop:
-            emit = false;  // the frame never happened; a held frame stays
-            break;
-          case FaultPlan::Action::kTruncate: {
-            size_t keep =
-                rule.arg != 0 ? static_cast<size_t>(rule.arg) : size / 2;
-            keep = std::min(keep, size > 0 ? size - 1 : 0);
-            owned.assign(static_cast<const char*>(data), keep);
-            break;
-          }
-          case FaultPlan::Action::kCorrupt:
-            owned.assign(static_cast<const char*>(data), size);
-            if (!owned.empty()) {
-              owned[static_cast<size_t>(rule.arg) % owned.size()] ^=
-                  static_cast<char>(0xff);
-            }
-            break;
-          case FaultPlan::Action::kReorder:
-            held_.assign(static_cast<const char*>(data), size);
-            has_held_ = true;
-            emit = false;
-            break;
-          case FaultPlan::Action::kDelay:
-            delay_us = rule.arg;
-            direct = static_cast<const char*>(data);
-            direct_size = size;
-            break;
-        }
-      }
-      if (emit && has_held_) {
-        // The emitted frame lands first, then the held one — the swap a
-        // kReorder rule asked for.
-        flush_held = std::move(held_);
-        has_held_ = false;
-        has_flush = true;
-      }
-    }
-    if (delay_us > 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
-    }
-    if (emit) {
-      const bool ok = direct != nullptr
-                          ? out_->Append(direct, direct_size)
-                          : out_->Append(owned.data(), owned.size());
-      if (!ok) return Status::Unavailable("pipe closed");
-    }
-    if (has_flush && !out_->Append(flush_held.data(), flush_held.size())) {
-      return Status::Unavailable("pipe closed");
-    }
+    if (!out_->Append(data, size)) return Status::Unavailable("pipe closed");
     return Status::OK();
   }
 
@@ -180,20 +102,6 @@ class PipeChannel : public ByteChannel {
   }
 
   void Close() override {
-    // Flush a reorder-held frame rather than silently losing it: the fault
-    // asked for a swap, and no later frame arrived to swap with. Forced
-    // append — Close must not block on a full bounded lane.
-    std::string flush;
-    bool has_flush = false;
-    {
-      std::lock_guard<std::mutex> write_lock(write_mu_);
-      if (has_held_) {
-        flush = std::move(held_);
-        has_held_ = false;
-        has_flush = true;
-      }
-    }
-    if (has_flush) out_->Append(flush.data(), flush.size(), /*force=*/true);
     out_->Close();
     in_->Close();
   }
@@ -201,14 +109,6 @@ class PipeChannel : public ByteChannel {
  private:
   std::shared_ptr<PipeLane> out_;
   std::shared_ptr<PipeLane> in_;
-  std::unordered_map<uint64_t, FaultPlan::Rule> faults_;
-  /// Serializes writers against each other and against Close's held-frame
-  /// flush (guards next_write_index_ / held_ / has_held_). Never held
-  /// across a lane Append.
-  std::mutex write_mu_;
-  uint64_t next_write_index_ = 0;
-  std::string held_;
-  bool has_held_ = false;
 };
 
 class TcpChannel : public ByteChannel {
@@ -267,17 +167,15 @@ void SetNoDelay(int fd) {
 
 }  // namespace
 
-TransportPair MakePipeTransport(FaultPlan source_faults,
-                                size_t capacity_bytes) {
+TransportPair MakePipeTransport(size_t capacity_bytes) {
   // source -> replica
   auto forward = std::make_shared<PipeLane>(capacity_bytes);
   // replica -> source: control frames are tiny; keep it unbounded so a
   // capacity meant for data frames can't deadlock ack/hello traffic.
   auto backward = std::make_shared<PipeLane>(0);
   TransportPair pair;
-  pair.source = std::make_unique<PipeChannel>(forward, backward,
-                                              std::move(source_faults));
-  pair.replica = std::make_unique<PipeChannel>(backward, forward, FaultPlan{});
+  pair.source = std::make_unique<PipeChannel>(forward, backward);
+  pair.replica = std::make_unique<PipeChannel>(backward, forward);
   return pair;
 }
 

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "common/status.h"
 
@@ -47,34 +46,14 @@ struct TransportPair {
   std::unique_ptr<ByteChannel> replica;
 };
 
-/// Deterministic fault injection on the source->replica direction of a
-/// pipe transport. `frame_index` counts Write() calls on the source end
-/// from 0 — one frame per write by protocol contract — so tests can say
-/// "corrupt the 3rd frame" and get exactly that.
-struct FaultPlan {
-  enum class Action {
-    kDrop,      ///< swallow the frame entirely (gap at the replica)
-    kTruncate,  ///< deliver only the first `arg` bytes (default: half)
-    kCorrupt,   ///< flip one byte at offset `arg` % size
-    kReorder,   ///< hold the frame, deliver it AFTER the next one
-    kDelay,     ///< deliver intact after sleeping `arg` microseconds
-  };
-  struct Rule {
-    uint64_t frame_index = 0;
-    Action action = Action::kDrop;
-    uint64_t arg = 0;
-  };
-  std::vector<Rule> rules;
-};
-
 /// In-process pipe: lock + condvar byte queues, no descriptors. With
 /// `capacity_bytes == 0` (the default) writes never block, so fault
-/// schedules replay exactly the same under TSan and on any scheduler.
-/// With a nonzero capacity each direction is a bounded buffer: Write
-/// blocks until the reader drains space (real-socket backpressure for
-/// flow-control tests) or the lane closes (-> Unavailable).
-TransportPair MakePipeTransport(FaultPlan source_faults = {},
-                                size_t capacity_bytes = 0);
+/// schedules (a FaultyChannel around the source end) replay exactly the
+/// same under TSan and on any scheduler. With a nonzero capacity each
+/// direction is a bounded buffer: Write blocks until the reader drains
+/// space (real-socket backpressure for flow-control tests) or the lane
+/// closes (-> Unavailable).
+TransportPair MakePipeTransport(size_t capacity_bytes = 0);
 
 /// Loopback TCP (127.0.0.1, ephemeral port, TCP_NODELAY): the same
 /// protocol over a real socket — OS framing, partial reads, EPIPE on a

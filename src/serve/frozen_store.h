@@ -30,10 +30,10 @@ namespace cafe {
 /// borrows one that must outlive the snapshot AND stay quiescent — any
 /// concurrent training on the wrapped store is a data race. AdoptShared()
 /// is the no-copy handoff for the double-buffered publish path: it freezes
-/// a store the SnapshotManager keeps co-owning, so the same resident buffer
-/// can be served now and handed back (through the snapshot's lease) for
-/// delta replay once every reader — including outstanding PinScopes holding
-/// the snapshot — is gone.
+/// a store the DoubleBufferPublisher keeps co-owning, so the same resident
+/// buffer can be served now and handed back (through the snapshot's lease)
+/// for delta replay once every reader — including outstanding PinScopes
+/// holding the snapshot — is gone.
 class FrozenStore : public EmbeddingStore {
  public:
   static std::unique_ptr<FrozenStore> Adopt(

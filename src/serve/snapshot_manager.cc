@@ -1,6 +1,5 @@
 #include "serve/snapshot_manager.h"
 
-#include <chrono>
 #include <utility>
 
 #include "common/logging.h"
@@ -54,15 +53,14 @@ SnapshotManager::SnapshotManager(EmbeddingStore* live_store,
                                  const Options& options)
     : live_store_(live_store),
       live_model_(live_model),
-      factory_(std::move(factory)),
       options_(options),
-      live_name_(live_store != nullptr ? live_store->Name() : ""),
-      leases_(std::make_shared<LeaseState>()) {
+      publisher_(std::move(factory),
+                 live_store != nullptr ? live_store->Name() : "",
+                 options.reclaim_wait_us) {
   CAFE_CHECK(live_store_ != nullptr) << "snapshot manager needs a live store";
-  CAFE_CHECK(factory_ != nullptr) << "snapshot manager needs a store factory";
   CAFE_CHECK(!options_.incremental ||
              live_store_->SupportsIncrementalSnapshots())
-      << "incremental cuts requested but store '" << live_name_
+      << "incremental cuts requested but store '" << live_store_->Name()
       << "' does not support SaveDelta/LoadDelta";
   CAFE_CHECK(!options_.capture_optimizer || live_model_ != nullptr)
       << "capture_optimizer requested without a live model";
@@ -175,74 +173,6 @@ void SnapshotManager::FinishTraining(uint64_t final_step) {
   cv_.notify_all();
 }
 
-StatusOr<std::unique_ptr<EmbeddingStore>>
-SnapshotManager::MakeValidatedFreshStore() {
-  auto fresh = factory_();
-  if (!fresh.ok()) return fresh.status();
-  if (*fresh == nullptr) {
-    return Status::InvalidArgument("snapshot store factory returned null");
-  }
-  if ((*fresh)->Name() != live_name_) {
-    return Status::FailedPrecondition(
-        "snapshot store factory built '" + (*fresh)->Name() +
-        "' but the live store is '" + live_name_ + "'");
-  }
-  return fresh;
-}
-
-Status SnapshotManager::ReclaimOrRetire(size_t slot, uint64_t generation,
-                                        bool* retired) {
-  *retired = false;
-  {
-    std::unique_lock<std::mutex> lock(leases_->mu);
-    if (leases_->leased[slot]) {
-      const auto wait = std::chrono::microseconds(options_.reclaim_wait_us);
-      if (!leases_->cv.wait_for(
-              lock, wait, [&] { return !leases_->leased[slot]; })) {
-        // The previous-but-one generation is still held: retire this buffer
-        // to its holder (shared ownership keeps it alive) and bump the
-        // lease epoch so the stale lease's eventual release cannot clear a
-        // lease the REPLACEMENT buffer hands out later.
-        leases_->leased[slot] = false;
-        ++leases_->epoch[slot];
-        *retired = true;
-      }
-    }
-  }
-  if (!*retired) return Status::OK();
-
-  BufferSlot& target = buffers_[slot];
-  BufferSlot& other = buffers_[slot ^ 1];
-  if (other.store == nullptr || other.state_gen + 1 != generation) {
-    return Status::Internal(
-        "double-buffer retire: serving buffer is not at the preceding "
-        "generation");
-  }
-  target.store.reset();  // the holder's FrozenStore keeps the old buffer
-  auto fresh = MakeValidatedFreshStore();
-  if (!fresh.ok()) return fresh.status();
-  // Clone the serving buffer's state: SaveState is const and the buffer is
-  // frozen, so this runs safely alongside concurrent serving lookups. This
-  // is the O(store) fallback the lease machinery exists to avoid.
-  io::Writer writer;
-  CAFE_RETURN_IF_ERROR(other.store->SaveState(&writer));
-  std::string full = writer.Release();
-  io::Reader reader(std::move(full));
-  CAFE_RETURN_IF_ERROR((*fresh)->LoadState(&reader));
-  if (reader.remaining() != 0) {
-    return Status::Internal(
-        "snapshot state not fully consumed rebuilding a retired buffer");
-  }
-  target.store = std::move(fresh).value();
-  target.state_gen = other.state_gen;
-  // Payloads the rebuild already folded in are no longer needed.
-  while (!target.pending.empty() &&
-         target.pending.front().generation <= target.state_gen) {
-    target.pending.pop_front();
-  }
-  return Status::OK();
-}
-
 Status SnapshotManager::PublishIncremental(
     std::shared_ptr<const std::string> payload, bool is_delta,
     uint64_t generation, ServingSnapshot* out) {
@@ -253,82 +183,17 @@ Status SnapshotManager::PublishIncremental(
     // current state, so publishes replay in claim order even when
     // concurrent Cut() callers reach this point out of order. Holding the
     // turn (published_generation_ + 1 == generation) gives exclusive access
-    // to the buffers without holding the lock through the heavy work.
+    // to the publisher without holding the lock through the heavy work.
     std::unique_lock<std::mutex> lock(publish_mu_);
     publish_cv_.wait(
         lock, [&] { return published_generation_ + 1 == generation; });
     status = publish_status_;
   }
 
-  const size_t slot = static_cast<size_t>(generation & 1);
-  uint64_t apply_bytes = 0;
-  double apply_us = 0.0;
-  bool retired = false;
+  DoubleBufferPublisher::PublishResult published;
   if (status.ok()) {
-    // Every payload goes to BOTH buffers: the target folds it in now, the
-    // serving buffer keeps it queued (the lagging queue) until it rotates
-    // back to the off position next cut.
-    buffers_[0].pending.push_back({generation, is_delta, payload});
-    buffers_[1].pending.push_back({generation, is_delta, payload});
-    status = ReclaimOrRetire(slot, generation, &retired);
-  }
-  if (status.ok()) {
-    BufferSlot& target = buffers_[slot];
-    obs::TraceSpan apply_span("snapshot.apply");
-    WallTimer apply_timer;
-    while (status.ok() && !target.pending.empty()) {
-      PendingPayload entry = std::move(target.pending.front());
-      target.pending.pop_front();
-      if (entry.generation <= target.state_gen) continue;  // folded in
-      if (target.store == nullptr) {
-        auto fresh = MakeValidatedFreshStore();
-        if (!fresh.ok()) {
-          status = fresh.status();
-          break;
-        }
-        target.store = std::move(fresh).value();
-      }
-      io::Reader reader(entry.payload.get());
-      status = entry.is_delta ? target.store->LoadDelta(&reader)
-                              : target.store->LoadState(&reader);
-      if (status.ok() && reader.remaining() != 0) {
-        status = Status::Internal(
-            "snapshot payload not fully consumed by the buffer store");
-      }
-      if (status.ok()) {
-        apply_bytes += entry.payload->size();
-        target.state_gen = entry.generation;
-      }
-    }
-    apply_us = apply_timer.ElapsedMicros();
-    if (status.ok() && target.state_gen != generation) {
-      status = Status::Internal(
-          "double-buffer publish drained to the wrong generation");
-    }
-  }
-  if (status.ok()) {
-    // Freeze + no-copy handoff. The lease is marked before the snapshot
-    // escapes; its deleter (run by whoever drops the last reference — the
-    // hub at Install, or the last in-flight PinScope) hands the buffer
-    // back. The deleter holds LeaseState strongly, so a snapshot outliving
-    // the manager still releases against valid memory.
-    uint64_t token = 0;
-    {
-      std::lock_guard<std::mutex> lock(leases_->mu);
-      leases_->leased[slot] = true;
-      token = ++leases_->epoch[slot];
-    }
-    std::shared_ptr<LeaseState> lease_state = leases_;
-    out->buffer_lease = std::shared_ptr<void>(
-        static_cast<void*>(nullptr),
-        [lease_state, slot, token](void*) {
-          std::lock_guard<std::mutex> lock(lease_state->mu);
-          if (lease_state->epoch[slot] == token) {
-            lease_state->leased[slot] = false;
-            lease_state->cv.notify_all();
-          }
-        });
-    out->store = FrozenStore::AdoptShared(buffers_[slot].store);
+    publisher_.Enqueue(generation, is_delta, std::move(payload));
+    status = publisher_.Publish(generation, out, &published);
   }
 
   const double publish_us = publish_timer.ElapsedMicros();
@@ -344,7 +209,8 @@ Status SnapshotManager::PublishIncremental(
     // Only successful publishes report: a fail-fast on a poisoned chain
     // must not clobber the last real measurement with zeros, and a retire
     // whose replacement rebuild then failed produced no publish to count.
-    RecordPublishStats(apply_us, apply_bytes, publish_us, retired);
+    RecordPublishStats(published.apply_us, published.apply_bytes, publish_us,
+                       published.retired);
   }
   return status;
 }
@@ -360,8 +226,6 @@ void SnapshotManager::RecordPublishStats(double apply_us, uint64_t apply_bytes,
   stats_.last_apply_bytes = apply_bytes;
   stats_.last_publish_us = publish_us;
   if (publish_us > stats_.max_publish_us) stats_.max_publish_us = publish_us;
-  stats_.last_rebuild_us = publish_us;
-  if (publish_us > stats_.max_rebuild_us) stats_.max_rebuild_us = publish_us;
   if (retired) ++stats_.retired_buffers;
 }
 
@@ -446,18 +310,13 @@ StatusOr<std::shared_ptr<const ServingSnapshot>> SnapshotManager::Cut() {
     // Full publish: a factory-fresh store takes the copied state, then
     // freezes — each snapshot is self-contained.
     WallTimer timer;
-    auto fresh = MakeValidatedFreshStore();
+    auto fresh = publisher_.MakeFreshStore();
     if (!fresh.ok()) return fresh.status();
-    io::Reader reader(shared_payload.get());
-    const size_t payload_bytes = reader.remaining();
-    CAFE_RETURN_IF_ERROR((*fresh)->LoadState(&reader));
-    if (reader.remaining() != 0) {
-      return Status::Internal(
-          "snapshot state not fully consumed by LoadState");
-    }
+    CAFE_RETURN_IF_ERROR(
+        ApplyPayload(fresh->get(), /*is_delta=*/false, *shared_payload));
     snapshot->store = FrozenStore::Adopt(std::move(fresh).value());
     const double rebuild_us = timer.ElapsedMicros();
-    RecordPublishStats(rebuild_us, payload_bytes, rebuild_us,
+    RecordPublishStats(rebuild_us, shared_payload->size(), rebuild_us,
                        /*retired=*/false);
   }
 

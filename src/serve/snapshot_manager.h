@@ -4,7 +4,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -14,6 +13,7 @@
 #include "common/status.h"
 #include "embed/embedding_store.h"
 #include "models/model.h"
+#include "serve/double_buffer_publisher.h"
 #include "serve/swappable_store.h"
 
 namespace cafe {
@@ -64,24 +64,12 @@ namespace cafe {
 ///  - Trainer copy: the first serviced cut copies the full SaveState base
 ///    and switches the store's dirty-row tracking on at the same boundary;
 ///    every later cut copies only a SaveDelta.
-///  - Publish: the manager keeps TWO resident ping-pong buffer stores. Each
-///    payload is queued to both; a cut drains the NON-serving buffer's
-///    lagging queue (the deltas it missed while it was pinned by the
-///    previous-but-one generation) directly via LoadDelta, then freezes and
-///    publishes that buffer with a no-copy handoff
-///    (FrozenStore::AdoptShared) while the previous generation keeps
-///    serving from the other buffer. No full serialize, no LoadState, no
-///    fresh store per publish — steady-state publish cost is two delta
-///    applications.
-///  - Reclaim: each published snapshot carries a lease on its buffer; the
-///    buffer only re-enters delta replay once every holder — including
-///    outstanding SwappableStore PinScopes — has dropped the snapshot
-///    (Install() retires the outgoing generation; the last pin releases the
-///    lease). If a consumer retains an old generation past
-///    Options::reclaim_wait_us, the manager RETIRES that buffer to the
-///    holder (shared ownership keeps it alive) and rebuilds a replacement
-///    from the serving buffer's SaveState — an O(store) fallback that keeps
-///    every generation correct at the cost of one full rebuild, counted in
+///  - Publish: each payload goes through a DoubleBufferPublisher (two
+///    resident ping-pong buffer stores, lagging-queue delta replay into the
+///    non-serving one, no-copy freeze, lease-gated reclaim; see
+///    serve/double_buffer_publisher.h). Steady-state publish cost is two
+///    delta applications. A generation retained past
+///    Options::reclaim_wait_us forces an O(store) retire rebuild, counted in
 ///    Stats::retired_buffers.
 ///
 /// Either way every published generation is bit-identical to a quiesced
@@ -98,8 +86,7 @@ class SnapshotManager {
   /// Builds a fresh, untrained store of the live store's exact
   /// configuration (the checkpoint-restore contract: state is copied into
   /// it via LoadState).
-  using FreshStoreFactory =
-      std::function<StatusOr<std::unique_ptr<EmbeddingStore>>()>;
+  using FreshStoreFactory = DoubleBufferPublisher::FreshStoreFactory;
 
   /// One boundary copy, as handed to Options::payload_observer: exactly
   /// the bytes a replica must replay to reach `generation` (a full
@@ -226,45 +213,10 @@ class SnapshotManager {
     uint64_t last_apply_bytes = 0;
     double last_publish_us = 0.0;
     double max_publish_us = 0.0;
-    /// Back-compat aliases of the publish timings (pre-double-buffer name).
-    double last_rebuild_us = 0.0;
-    double max_rebuild_us = 0.0;
   };
   Stats stats() const;
 
  private:
-  /// One queued copy payload awaiting replay into a buffer.
-  struct PendingPayload {
-    uint64_t generation = 0;
-    bool is_delta = false;
-    /// Shared between the two buffers' queues (applied once per buffer,
-    /// through a borrowing io::Reader — never copied).
-    std::shared_ptr<const std::string> payload;
-  };
-
-  /// One resident ping-pong buffer. Only the publish-turn holder touches a
-  /// slot (publishes are generation-sequenced), so no per-slot lock.
-  struct BufferSlot {
-    std::shared_ptr<EmbeddingStore> store;  // null until first materialized
-    /// Generation whose state the store currently holds.
-    uint64_t state_gen = 0;
-    /// Payloads newer than state_gen, oldest first (the lagging queue).
-    std::deque<PendingPayload> pending;
-  };
-
-  /// Lease bookkeeping shared with outstanding snapshots' lease deleters;
-  /// lives in a shared_ptr so a snapshot outliving the manager releases
-  /// against valid memory.
-  struct LeaseState {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool leased[2] = {false, false};
-    /// Bumped per lease hand-out AND per retire: a retired (stale) lease's
-    /// eventual release compares its token against this and no-ops, so it
-    /// can never clear a lease the replacement buffer handed out later.
-    uint64_t epoch[2] = {0, 0};
-  };
-
   /// Copies live state into the hand-off buffer — the full SaveState
   /// payload, or (incremental mode, after the base) a SaveDelta — plus the
   /// model's dense weights and (capture_optimizer) optimizer state. Caller
@@ -272,33 +224,22 @@ class SnapshotManager {
   /// thread at a boundary, or no trainer active).
   void CopyStateLocked(uint64_t step);
 
-  /// Factory call + null/name validation.
-  StatusOr<std::unique_ptr<EmbeddingStore>> MakeValidatedFreshStore();
-
-  /// Incremental-mode publish for `generation`: queue the payload to both
-  /// buffers, wait for the publish turn, reclaim-or-retire the target
-  /// buffer, drain its lagging queue via LoadDelta/LoadState, freeze it
-  /// into `out` with a lease. Fills the apply/publish stats fields.
+  /// Incremental-mode publish for `generation`: wait for the publish turn,
+  /// then hand the payload to the publisher, which freezes it into `out`
+  /// with a lease. Fills the apply/publish stats fields.
   Status PublishIncremental(std::shared_ptr<const std::string> payload,
                             bool is_delta, uint64_t generation,
                             ServingSnapshot* out);
 
-  /// Waits up to reclaim_wait_us for `slot`'s lease, else retires the
-  /// buffer to its holder and rebuilds a replacement at generation
-  /// `generation - 1` from the other (serving) buffer's SaveState.
-  Status ReclaimOrRetire(size_t slot, uint64_t generation, bool* retired);
-
   /// One definition of the per-publish Stats update (apply/publish splits,
-  /// maxes, the last_rebuild_us aliases, the retire counter), shared by the
-  /// incremental and full publish paths so the two modes cannot drift.
+  /// maxes, the retire counter), shared by the incremental and full publish
+  /// paths so the two modes cannot drift.
   void RecordPublishStats(double apply_us, uint64_t apply_bytes,
                           double publish_us, bool retired);
 
   EmbeddingStore* live_store_;
   RecModel* live_model_;
-  FreshStoreFactory factory_;
   Options options_;
-  std::string live_name_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
@@ -328,17 +269,16 @@ class SnapshotManager {
   /// Incremental-mode publish state. Publishes MUST run in claim order
   /// (each delta is relative to the buffers' current state), so publishers
   /// sequence on published_generation_ under publish_mu_; the turn holder
-  /// then works on the buffers unlocked (no other thread touches them until
+  /// then drives the publisher unlocked (no other thread touches it until
   /// it advances the generation). A failed publish poisons the chain:
   /// every later incremental cut fails fast instead of publishing divergent
-  /// state. Lease state lives separately (leases_) so a serving thread
-  /// releasing the last pin never contends with an in-flight apply.
+  /// state. The full-cut path only calls the publisher's thread-safe
+  /// MakeFreshStore.
   std::mutex publish_mu_;
   std::condition_variable publish_cv_;
   uint64_t published_generation_ = 0;
   Status publish_status_;
-  BufferSlot buffers_[2];
-  std::shared_ptr<LeaseState> leases_;
+  DoubleBufferPublisher publisher_;
 
   Stats stats_;
 };

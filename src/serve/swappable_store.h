@@ -19,12 +19,12 @@ namespace cafe {
 /// `shared_ptr<const ServingSnapshot>` so an install can never invalidate a
 /// generation a worker is still executing against.
 struct ServingSnapshot {
-  /// Buffer lease, set only by the incremental (double-buffered) publish
-  /// path: its deleter hands the resident buffer behind `store` back to the
-  /// SnapshotManager for delta replay. Declared FIRST so it is destroyed
-  /// LAST — the manager must not see the buffer as reclaimable while the
-  /// FrozenStore borrowing it still exists. Null for self-contained
-  /// snapshots (full cuts own their store outright).
+  /// Buffer lease, set only by DoubleBufferPublisher (incremental cuts and
+  /// every replica publish): its deleter hands the resident buffer behind
+  /// `store` back to that publisher for delta replay. Declared FIRST so it
+  /// is destroyed LAST — the publisher must not see the buffer as
+  /// reclaimable while the FrozenStore borrowing it still exists. Null for
+  /// self-contained snapshots (full cuts own their store outright).
   std::shared_ptr<void> buffer_lease;
   /// Frozen at `train_step`; FrozenStore is inherently read-only, so the
   /// pointer is usable (e.g. to build a model replica over the snapshot)
@@ -83,7 +83,8 @@ class SwappableStore : public EmbeddingStore {
   /// Install is also the RETIRE step of the double-buffered rollout: the
   /// hub's reference to the outgoing generation drops here, so once the
   /// last in-flight PinScope on it closes, its buffer_lease releases and
-  /// the SnapshotManager reclaims that buffer for the next delta replay.
+  /// the DoubleBufferPublisher reclaims that buffer for the next delta
+  /// replay.
   uint64_t Install(std::shared_ptr<const ServingSnapshot> snapshot);
 
   /// The currently installed snapshot.

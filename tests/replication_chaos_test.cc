@@ -29,7 +29,6 @@ namespace {
 
 using replicate::FaultInjector;
 using replicate::FaultKindName;
-using replicate::FaultPlan;
 using replicate::FaultyChannel;
 using replicate::MakePipeTransport;
 using replicate::ReplicaManager;
@@ -203,19 +202,19 @@ class ChaosRig {
   uint64_t last_generation_ = 0;
 };
 
-FaultPlan::Action ToAction(FaultInjector::Kind kind) {
+FaultyChannel::Action ToAction(FaultInjector::Kind kind) {
   switch (kind) {
     case FaultInjector::Kind::kDrop:
-      return FaultPlan::Action::kDrop;
+      return FaultyChannel::Action::kDrop;
     case FaultInjector::Kind::kCorrupt:
-      return FaultPlan::Action::kCorrupt;
+      return FaultyChannel::Action::kCorrupt;
     case FaultInjector::Kind::kTruncate:
-      return FaultPlan::Action::kTruncate;
+      return FaultyChannel::Action::kTruncate;
     case FaultInjector::Kind::kReorder:
-      return FaultPlan::Action::kReorder;
+      return FaultyChannel::Action::kReorder;
     default:
       ADD_FAILURE() << "not a transport fault";
-      return FaultPlan::Action::kDrop;
+      return FaultyChannel::Action::kDrop;
   }
 }
 

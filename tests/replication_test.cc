@@ -39,7 +39,7 @@ namespace cafe {
 namespace {
 
 using replicate::ByteChannel;
-using replicate::FaultPlan;
+using replicate::FaultyChannel;
 using replicate::Frame;
 using replicate::FrameKind;
 using replicate::FrameParser;
@@ -457,8 +457,17 @@ class ReplicationRig {
     return [name, context]() { return MakeStore(name, context); };
   }
 
-  ReplicaManager* AddPipeReplica(FaultPlan faults = {}) {
-    TransportPair pair = MakePipeTransport(std::move(faults));
+  ReplicaManager* AddPipeReplica() {
+    return AddReplicaOnTransport(MakePipeTransport());
+  }
+
+  /// A pipe replica whose source end applies `action` (with `arg`) to the
+  /// third frame it writes — generation 3 when every cut ships one frame.
+  ReplicaManager* AddPipeReplica(FaultyChannel::Action action, uint64_t arg) {
+    TransportPair pair = MakePipeTransport();
+    auto faulty = std::make_unique<FaultyChannel>(std::move(pair.source));
+    faulty->Arm(action, 2, arg);
+    pair.source = std::move(faulty);
     return AddReplicaOnTransport(std::move(pair));
   }
 
@@ -601,10 +610,9 @@ TEST(ReplicationLifecycleTest, LateJoinerIsServedABaseAtTheHead) {
 // replica is the signal. The replica must poison its chain, request one
 // resync, and rebase from the answering kBase.
 TEST(ReplicationLifecycleTest, DroppedFrameGapForcesRebase) {
-  FaultPlan faults;
-  faults.rules.push_back({2, FaultPlan::Action::kDrop, 0});  // generation 3
   ReplicationRig rig("cafe", 20.0);
-  ReplicaManager* replica = rig.AddPipeReplica(std::move(faults));
+  ReplicaManager* replica =
+      rig.AddPipeReplica(FaultyChannel::Action::kDrop, 0);  // generation 3
 
   rig.TrainAndCut(5);
   ASSERT_TRUE(replica->WaitForGeneration(1, kWaitUs).ok());
@@ -621,10 +629,9 @@ TEST(ReplicationLifecycleTest, DroppedFrameGapForcesRebase) {
 // A flipped byte fails the frame fingerprint; the parser skips the frame,
 // the replica poisons its chain and recovers through one resync.
 TEST(ReplicationLifecycleTest, CorruptFrameForcesResyncAndRecovery) {
-  FaultPlan faults;
-  faults.rules.push_back({2, FaultPlan::Action::kCorrupt, 41});
   ReplicationRig rig("cafe", 20.0);
-  ReplicaManager* replica = rig.AddPipeReplica(std::move(faults));
+  ReplicaManager* replica =
+      rig.AddPipeReplica(FaultyChannel::Action::kCorrupt, 41);
 
   rig.TrainAndCut(5);
   ASSERT_TRUE(replica->WaitForGeneration(1, kWaitUs).ok());
@@ -642,10 +649,9 @@ TEST(ReplicationLifecycleTest, CorruptFrameForcesResyncAndRecovery) {
 // consumed as the missing payload); the parser re-locks on a later magic
 // and the replica recovers through the same poison/resync path.
 TEST(ReplicationLifecycleTest, TruncatedFrameForcesResyncAndRecovery) {
-  FaultPlan faults;
-  faults.rules.push_back({2, FaultPlan::Action::kTruncate, 0});  // keep half
   ReplicationRig rig("cafe", 20.0);
-  ReplicaManager* replica = rig.AddPipeReplica(std::move(faults));
+  ReplicaManager* replica =
+      rig.AddPipeReplica(FaultyChannel::Action::kTruncate, 0);  // keep half
 
   rig.TrainAndCut(5);
   ASSERT_TRUE(replica->WaitForGeneration(1, kWaitUs).ok());
@@ -663,10 +669,9 @@ TEST(ReplicationLifecycleTest, TruncatedFrameForcesResyncAndRecovery) {
 // (resync), and the late-arriving EARLIER one is skipped as stale — never
 // applied out of order, never a second poison.
 TEST(ReplicationLifecycleTest, ReorderedFramesForceRebaseNotMisorder) {
-  FaultPlan faults;
-  faults.rules.push_back({2, FaultPlan::Action::kReorder, 0});
   ReplicationRig rig("cafe", 20.0);
-  ReplicaManager* replica = rig.AddPipeReplica(std::move(faults));
+  ReplicaManager* replica =
+      rig.AddPipeReplica(FaultyChannel::Action::kReorder, 0);
 
   rig.TrainAndCut(5);
   ASSERT_TRUE(replica->WaitForGeneration(1, kWaitUs).ok());
@@ -682,10 +687,9 @@ TEST(ReplicationLifecycleTest, ReorderedFramesForceRebaseNotMisorder) {
 // A delayed frame is just lag: delivered intact, applied in order, no
 // resync — the lifecycle machinery must not misread slowness as damage.
 TEST(ReplicationLifecycleTest, DelayedFrameIsOnlyLag) {
-  FaultPlan faults;
-  faults.rules.push_back({2, FaultPlan::Action::kDelay, 50000});
   ReplicationRig rig("cafe", 20.0);
-  ReplicaManager* replica = rig.AddPipeReplica(std::move(faults));
+  ReplicaManager* replica =
+      rig.AddPipeReplica(FaultyChannel::Action::kDelay, 50000);
 
   rig.TrainAndCut(5);
   ASSERT_TRUE(replica->WaitForGeneration(1, kWaitUs).ok());
@@ -696,6 +700,61 @@ TEST(ReplicationLifecycleTest, DelayedFrameIsOnlyLag) {
   EXPECT_EQ(stats.resyncs_requested, 0u);
   EXPECT_EQ(stats.bases_applied, 1u);
   EXPECT_EQ(stats.deltas_applied, 3u);
+}
+
+// A replica generation pinned past reclaim_wait_us makes the replica retire
+// that buffer to the holder rather than replay into it, through both
+// rebuild branches: a delta-only queue clones the serving buffer, and a
+// rebase's queued base rebuilds from a fresh store. The held generation
+// must stay frozen throughout.
+TEST(ReplicationLifecycleTest, HeldReplicaGenerationsRetireTheirBuffers) {
+  ReplicationRig rig("cafe", 20.0);
+  TransportPair pair = MakePipeTransport();
+  auto faulty = std::make_unique<FaultyChannel>(std::move(pair.source));
+  FaultyChannel* link = faulty.get();  // owned by the source from here on
+  pair.source = std::move(faulty);
+  ReplicaManager::Options options;
+  options.name = "retire_replica";
+  options.reclaim_wait_us = 1000;
+  ReplicaManager* replica =
+      rig.AddReplicaOnTransport(std::move(pair), options);
+
+  rig.TrainAndCut(5);
+  ASSERT_TRUE(replica->WaitForGeneration(1, kWaitUs).ok());
+  rig.TrainAndCut(10);
+  ASSERT_TRUE(replica->WaitForGeneration(2, kWaitUs).ok());
+  EXPECT_EQ(replica->stats().retired_buffers, 0u);
+
+  // (a) Hold generation 2. Generation 3 replays into the other buffer;
+  // generation 4 targets the held one with a delta-only queue -> clone.
+  auto held_delta = replica->swappable()->Acquire();
+  ASSERT_EQ(held_delta->generation, 2u);
+  const std::string held_delta_bytes =
+      SaveStateBytes(*held_delta->store->underlying());
+  rig.TrainAndCut(10);
+  rig.TrainAndCut(10);
+  rig.ExpectReplicaByteIdentical(replica, "delta-only retire");
+  EXPECT_EQ(replica->stats().retired_buffers, 1u);
+
+  // (b) Hold generation 4 and drop the frame after next (generation 6):
+  // generation 5 replays into the other buffer, generation 7 reads as a
+  // gap, and the resync's base at 7 targets the held buffer -> fresh store.
+  auto held_base = replica->swappable()->Acquire();
+  ASSERT_EQ(held_base->generation, 4u);
+  const std::string held_base_bytes =
+      SaveStateBytes(*held_base->store->underlying());
+  link->Arm(FaultyChannel::Action::kDrop, 1);
+  for (int k = 0; k < 3; ++k) rig.TrainAndCut(10);  // generations 5-7
+  rig.ExpectReplicaByteIdentical(replica, "rebase retire");
+
+  const ReplicaManager::Stats stats = replica->stats();
+  EXPECT_EQ(stats.retired_buffers, 2u);
+  EXPECT_EQ(stats.resyncs_requested, 1u);
+  EXPECT_EQ(stats.bases_applied, 2u);
+  EXPECT_TRUE(stats.fatal.ok()) << stats.fatal.ToString();
+  EXPECT_EQ(SaveStateBytes(*held_delta->store->underlying()),
+            held_delta_bytes);
+  EXPECT_EQ(SaveStateBytes(*held_base->store->underlying()), held_base_bytes);
 }
 
 // The same protocol over a real loopback socket: OS framing, partial
@@ -793,7 +852,7 @@ TEST(TransportStatusTest, PipeWriteAfterCloseIsUnavailable) {
 }
 
 TEST(TransportStatusTest, BoundedPipeBlocksOnCapacityAndUnblocksOnClose) {
-  TransportPair pair = MakePipeTransport({}, 1024);
+  TransportPair pair = MakePipeTransport(1024);
   const std::string chunk(800, 'x');
   ASSERT_TRUE(pair.source->Write(chunk.data(), chunk.size()).ok());
 
