@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "common/logging.h"
+#include "common/simd.h"
 #include "nn/loss.h"
 
 namespace cafe {
@@ -57,8 +58,9 @@ void DlrmModel::CollectDenseParams(std::vector<Param>* out) {
 void DlrmModel::Forward(const Batch& batch, Tensor* logits) {
   CAFE_DCHECK(batch.num_fields == config_.num_fields);
   const uint32_t d = config_.emb_dim;
-  emb_.Resize(batch.batch_size, batch.num_fields * d);
-  emb_layer_.Forward(batch, emb_.data(), batch.num_fields * d);
+  const size_t k = NumVectors();
+  vectors_.Resize(batch.batch_size, k * d);
+  emb_layer_.Forward(batch, vectors_.data(), k * d);
 
   if (bottom_ != nullptr) {
     numerical_in_.Resize(batch.batch_size, config_.num_numerical);
@@ -70,97 +72,61 @@ void DlrmModel::Forward(const Batch& batch, Tensor* logits) {
   // Dot-product interaction: all pairwise dots between the K vectors of
   // each sample; the bottom output (if any) is vector index F and is also
   // concatenated raw.
-  const size_t k = NumVectors();
+  const size_t raw = bottom_ != nullptr ? d : 0;
   interaction_.Resize(batch.batch_size, TopInputSize());
   for (size_t b = 0; b < batch.batch_size; ++b) {
-    const float* emb_row = emb_.row(b);
+    float* vecs = vectors_.row(b);
     float* out = interaction_.row(b);
-    size_t pos = 0;
     if (bottom_ != nullptr) {
+      std::memcpy(vecs + config_.num_fields * d, bottom_out_.row(b),
+                  d * sizeof(float));
       std::memcpy(out, bottom_out_.row(b), d * sizeof(float));
-      pos = d;
     }
-    auto vec = [&](size_t i) -> const float* {
-      return i < config_.num_fields ? emb_row + i * d : bottom_out_.row(b);
-    };
-    for (size_t i = 0; i < k; ++i) {
-      const float* vi = vec(i);
-      for (size_t j = i + 1; j < k; ++j) {
-        const float* vj = vec(j);
-        float dot = 0.0f;
-        for (uint32_t t = 0; t < d; ++t) dot += vi[t] * vj[t];
-        out[pos++] = dot;
-      }
-    }
+    simd::DotInteraction(vecs, k, d, out + raw);
   }
   top_->Forward(interaction_, logits);
 }
 
 double DlrmModel::TrainStep(const Batch& batch) {
   Forward(batch, &logits_);
-  std::vector<float> labels(batch.labels, batch.labels + batch.batch_size);
-  const double loss = BceWithLogitsLoss::Compute(logits_, labels,
-                                                 &grad_logits_);
+  const double loss =
+      BceWithLogitsLoss::Compute(logits_, batch.labels, &grad_logits_);
 
   optimizer_->ZeroGrad();
   top_->Backward(grad_logits_, &grad_interaction_);
 
-  // Interaction backward: d(vi . vj)/dvi = vj. The bottom vector also
+  // Interaction backward: d(vi . vj)/dvi = vj. The bottom vector first
   // receives the gradient of its raw concatenation.
   const uint32_t d = config_.emb_dim;
   const size_t k = NumVectors();
-  grad_emb_.Resize(batch.batch_size, config_.num_fields * d);
-  grad_emb_.Zero();
+  const size_t raw = bottom_ != nullptr ? d : 0;
+  const size_t bottom_at = config_.num_fields * d;
+  grad_vectors_.Resize(batch.batch_size, k * d);
+  grad_vectors_.Zero();
+  for (size_t b = 0; b < batch.batch_size; ++b) {
+    const float* g_int = grad_interaction_.row(b);
+    float* g_vecs = grad_vectors_.row(b);
+    for (size_t t = 0; t < raw; ++t) g_vecs[bottom_at + t] += g_int[t];
+    simd::DotInteractionBackward(vectors_.row(b), g_int + raw, k, d, g_vecs);
+  }
   if (bottom_ != nullptr) {
     grad_bottom_out_.Resize(batch.batch_size, d);
-    grad_bottom_out_.Zero();
-  }
-  for (size_t b = 0; b < batch.batch_size; ++b) {
-    const float* emb_row = emb_.row(b);
-    const float* g_int = grad_interaction_.row(b);
-    float* g_emb = grad_emb_.row(b);
-    size_t pos = 0;
-    if (bottom_ != nullptr) {
-      float* g_bot = grad_bottom_out_.row(b);
-      for (uint32_t t = 0; t < d; ++t) g_bot[t] += g_int[t];
-      pos = d;
+    for (size_t b = 0; b < batch.batch_size; ++b) {
+      std::memcpy(grad_bottom_out_.row(b), grad_vectors_.row(b) + bottom_at,
+                  d * sizeof(float));
     }
-    auto vec = [&](size_t i) -> const float* {
-      return i < config_.num_fields ? emb_row + i * d : bottom_out_.row(b);
-    };
-    auto grad_vec = [&](size_t i) -> float* {
-      return i < config_.num_fields ? g_emb + i * d : grad_bottom_out_.row(b);
-    };
-    for (size_t i = 0; i < k; ++i) {
-      for (size_t j = i + 1; j < k; ++j) {
-        const float g = g_int[pos++];
-        if (g == 0.0f) continue;
-        const float* vi = vec(i);
-        const float* vj = vec(j);
-        float* gi = grad_vec(i);
-        float* gj = grad_vec(j);
-        for (uint32_t t = 0; t < d; ++t) {
-          gi[t] += g * vj[t];
-          gj[t] += g * vi[t];
-        }
-      }
-    }
-  }
-  if (bottom_ != nullptr) {
     bottom_->Backward(grad_bottom_out_, &grad_numerical_);
   }
   optimizer_->Step(config_.dense_lr);
-  emb_layer_.Backward(batch, grad_emb_.data(), config_.num_fields * d,
-                      config_.emb_lr, /*reuse_staged_ids=*/true);
+  emb_layer_.Backward(batch, grad_vectors_.data(), k * d, config_.emb_lr,
+                      /*reuse_staged_ids=*/true);
   store_->Tick();
   return loss;
 }
 
 void DlrmModel::Predict(const Batch& batch, std::vector<float>* logits) {
-  Tensor out;
-  Forward(batch, &out);
-  logits->resize(batch.batch_size);
-  for (size_t b = 0; b < batch.batch_size; ++b) (*logits)[b] = out.at(b, 0);
+  Forward(batch, &logits_);
+  logits->assign(logits_.data(), logits_.data() + batch.batch_size);
 }
 
 size_t DlrmModel::DenseParameters() const {

@@ -62,13 +62,13 @@ class DlrmModel : public RecModel {
   std::unique_ptr<Optimizer> optimizer_;
 
   // Step-scoped caches.
-  Tensor emb_;          // B x F*d
+  Tensor vectors_;      // B x K*d: the F embeddings, then the bottom output
   Tensor bottom_out_;   // B x d
   Tensor interaction_;  // B x TopInputSize()
   Tensor logits_;       // B x 1
   Tensor grad_logits_;
   Tensor grad_interaction_;
-  Tensor grad_emb_;
+  Tensor grad_vectors_;  // B x K*d, laid out like vectors_
   Tensor grad_bottom_out_;
   Tensor grad_numerical_;  // sink for bottom MLP input grads
   Tensor numerical_in_;

@@ -74,9 +74,8 @@ void WdlModel::Forward(const Batch& batch, Tensor* logits) {
 
 double WdlModel::TrainStep(const Batch& batch) {
   Forward(batch, &logits_);
-  std::vector<float> labels(batch.labels, batch.labels + batch.batch_size);
-  const double loss = BceWithLogitsLoss::Compute(logits_, labels,
-                                                 &grad_logits_);
+  const double loss =
+      BceWithLogitsLoss::Compute(logits_, batch.labels, &grad_logits_);
 
   optimizer_->ZeroGrad();
   // d logit = d wide + d deep, so both branches see grad_logits_.
@@ -101,10 +100,8 @@ double WdlModel::TrainStep(const Batch& batch) {
 }
 
 void WdlModel::Predict(const Batch& batch, std::vector<float>* logits) {
-  Tensor out;
-  Forward(batch, &out);
-  logits->resize(batch.batch_size);
-  for (size_t b = 0; b < batch.batch_size; ++b) (*logits)[b] = out.at(b, 0);
+  Forward(batch, &logits_);
+  logits->assign(logits_.data(), logits_.data() + batch.batch_size);
 }
 
 size_t WdlModel::DenseParameters() const {

@@ -19,14 +19,14 @@ void Relu::Forward(const Tensor& in, Tensor* out) {
   const float* x = in.data();
   float* y = out->data();
   for (size_t i = 0; i < in.size(); ++i) y[i] = x[i] > 0.0f ? x[i] : 0.0f;
-  cached_output_ = *out;
+  output_ = out;
 }
 
 void Relu::Backward(const Tensor& grad_out, Tensor* grad_in) {
-  CAFE_DCHECK(grad_out.size() == cached_output_.size());
+  CAFE_DCHECK(output_ != nullptr && grad_out.size() == output_->size());
   grad_in->Resize(grad_out.rows(), grad_out.cols());
   const float* gy = grad_out.data();
-  const float* y = cached_output_.data();
+  const float* y = output_->data();
   float* gx = grad_in->data();
   for (size_t i = 0; i < grad_out.size(); ++i) {
     gx[i] = y[i] > 0.0f ? gy[i] : 0.0f;

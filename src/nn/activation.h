@@ -12,7 +12,9 @@ class Relu : public Layer {
   void Backward(const Tensor& grad_out, Tensor* grad_in) override;
 
  private:
-  Tensor cached_output_;  // mask source: out > 0 <=> in > 0
+  // The last Forward's output, the mask source (out > 0 <=> in > 0); it
+  // must stay alive and unchanged until Backward, like the input (Layer).
+  const Tensor* output_ = nullptr;
 };
 
 /// Elementwise logistic sigmoid. Models keep the final layer as a raw logit

@@ -24,6 +24,8 @@ struct Param {
 ///    Forward, accumulates parameter gradients, and fills grad_in
 ///    (d loss / d input).
 /// One Forward must precede each Backward; layers are not reentrant.
+/// Layers keep pointers, not copies: Forward's `in` (and the `out` it
+/// wrote) must stay alive and unchanged until the matching Backward.
 class Layer {
  public:
   virtual ~Layer() = default;

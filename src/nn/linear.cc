@@ -21,42 +21,20 @@ Linear::Linear(size_t in_features, size_t out_features, Rng& rng)
 void Linear::Forward(const Tensor& in, Tensor* out) {
   CAFE_DCHECK(in.cols() == in_features_)
       << "Linear expects " << in_features_ << " inputs, got " << in.cols();
-  cached_input_ = in;
+  input_ = &in;
   out->Resize(in.rows(), out_features_);
-  for (size_t b = 0; b < in.rows(); ++b) {
-    const float* x = in.row(b);
-    float* y = out->row(b);
-    for (size_t o = 0; o < out_features_; ++o) {
-      const float* w = weight_.data() + o * in_features_;
-      float acc = bias_[o];
-      for (size_t i = 0; i < in_features_; ++i) acc += w[i] * x[i];
-      y[o] = acc;
-    }
-  }
+  simd::LinearForward(in.data(), weight_.data(), bias_.data(), in.rows(),
+                      in_features_, out_features_, out->data());
 }
 
 void Linear::Backward(const Tensor& grad_out, Tensor* grad_in) {
-  CAFE_DCHECK(grad_out.rows() == cached_input_.rows());
+  CAFE_DCHECK(input_ != nullptr && grad_out.rows() == input_->rows());
   CAFE_DCHECK(grad_out.cols() == out_features_);
-  grad_in->Resize(cached_input_.rows(), in_features_);
-  grad_in->Zero();
-  for (size_t b = 0; b < grad_out.rows(); ++b) {
-    const float* x = cached_input_.row(b);
-    const float* gy = grad_out.row(b);
-    float* gx = grad_in->row(b);
-    for (size_t o = 0; o < out_features_; ++o) {
-      const float g = gy[o];
-      if (g == 0.0f) continue;
-      const float* w = weight_.data() + o * in_features_;
-      float* gw = weight_grad_.data() + o * in_features_;
-      bias_grad_[o] += g;
-      // gw/x and gx/w never alias, so the interleaved outer-product row
-      // splits into two axpy passes with identical per-element rounding.
-      const uint32_t d = static_cast<uint32_t>(in_features_);
-      simd::AddScaled(gw, x, d, g);
-      simd::AddScaled(gx, w, d, g);
-    }
-  }
+  grad_in->Resize(grad_out.rows(), in_features_);
+  simd::LinearBackward(input_->data(), weight_.data(), grad_out.data(),
+                       grad_out.rows(), in_features_, out_features_,
+                       grad_in->data(), weight_grad_.data(),
+                       bias_grad_.data());
 }
 
 void Linear::CollectParams(std::vector<Param>* out) {

@@ -41,7 +41,7 @@ class Linear : public Layer {
   std::vector<float> bias_;         // (out)
   std::vector<float> weight_grad_;
   std::vector<float> bias_grad_;
-  Tensor cached_input_;
+  const Tensor* input_ = nullptr;  // the last Forward's input (see Layer)
 };
 
 }  // namespace cafe

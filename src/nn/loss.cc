@@ -13,11 +13,10 @@ double BceWithLogitsLoss::PointLoss(float logit, float label) {
   return std::max(z, 0.0) - z * y + std::log1p(std::exp(-std::fabs(z)));
 }
 
-double BceWithLogitsLoss::Compute(const Tensor& logits,
-                                  const std::vector<float>& labels,
+double BceWithLogitsLoss::Compute(const Tensor& logits, const float* labels,
                                   Tensor* grad) {
   CAFE_DCHECK(logits.cols() == 1);
-  CAFE_DCHECK(logits.rows() == labels.size());
+  CAFE_DCHECK(labels != nullptr || logits.rows() == 0);
   const size_t n = logits.rows();
   grad->Resize(n, 1);
   double total = 0.0;

@@ -1,8 +1,6 @@
 #ifndef CAFE_NN_LOSS_H_
 #define CAFE_NN_LOSS_H_
 
-#include <vector>
-
 #include "nn/tensor.h"
 
 namespace cafe {
@@ -13,10 +11,10 @@ namespace cafe {
 ///   dloss/dz   = sigmoid(z) - y
 class BceWithLogitsLoss {
  public:
-  /// `logits` is (batch, 1); `labels` has batch entries in {0, 1}.
+  /// `logits` is (batch, 1); `labels` points at batch entries in {0, 1}.
   /// Returns the mean loss and fills `grad` (batch, 1) with d(mean loss)/dz
   /// (i.e. already divided by the batch size).
-  static double Compute(const Tensor& logits, const std::vector<float>& labels,
+  static double Compute(const Tensor& logits, const float* labels,
                         Tensor* grad);
 
   /// Loss of one (logit, label) pair; used by evaluation (no gradient).

@@ -134,6 +134,10 @@ StatusOr<std::future<std::vector<float>>> InferenceServer::Submit(
   pending.enqueue = Clock::now();
   std::future<std::vector<float>> future = pending.promise.get_future();
 
+  // A worker needs waking only when this request gives it something new to
+  // do: the queue was empty (idle workers wait for work), or the queue just
+  // filled a batch (a worker in its batching window waits for max_batch).
+  bool wake = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stop_) {
@@ -156,6 +160,9 @@ StatusOr<std::future<std::vector<float>>> InferenceServer::Submit(
           std::to_string(options_.max_queue_samples) +
           " samples queued): backpressure");
     }
+    wake = queue_.empty() || (queued_samples_ < options_.max_batch &&
+                              queued_samples_ + pending.batch_size >=
+                                  options_.max_batch);
     queued_samples_ += pending.batch_size;
     peak_queued_samples_ = std::max(peak_queued_samples_, queued_samples_);
     // Sampled mirror: the gauge is only read at scrape time, so a
@@ -166,7 +173,7 @@ StatusOr<std::future<std::vector<float>>> InferenceServer::Submit(
     }
     queue_.push_back(std::move(pending));
   }
-  cv_.notify_one();
+  if (wake) cv_.notify_one();
   return future;
 }
 
@@ -187,6 +194,7 @@ void InferenceServer::WorkerLoop(size_t worker_index) {
   RecModel* model = models_[worker_index].get();
   std::vector<Pending> claimed;
   for (;;) {
+    bool requests_left = false;
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
@@ -218,9 +226,10 @@ void InferenceServer::WorkerLoop(size_t worker_index) {
       if ((++queue_depth_updates_ & 0xF) == 0) {
         obs_queue_depth_->Set(static_cast<double>(queued_samples_));
       }
+      requests_left = !queue_.empty();
     }
-    // Wake a peer: there may be leftover requests past the claimed window.
-    cv_.notify_one();
+    // Requests past the claimed batch need a peer; an empty queue does not.
+    if (requests_left) cv_.notify_one();
     Execute(worker_index, model, &claimed);
   }
 }

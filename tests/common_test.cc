@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/hash.h"
@@ -378,6 +379,126 @@ TEST_F(SimdTierTest, ExactKernelsAreBitIdenticalToScalarReference) {
       simd::CopyRow(out.data(), g.data(), d);
       EXPECT_EQ(0, std::memcmp(out.data(), g.data(), d * 4))
           << "copy_row tier=" << simd::TierName(tier) << " d=" << d;
+    }
+  }
+}
+
+// Values a dense layer sees: ReLU zeros (+0), -0.0f, and otherwise uniform.
+std::vector<float> DenseValues(size_t n, Rng& rng, float scale) {
+  std::vector<float> v(n);
+  for (float& x : v) {
+    const double u = rng.UniformDouble();
+    x = u < 0.3 ? 0.0f : u < 0.4 ? -0.0f : scale * rng.UniformFloat(-2.0f, 2.0f);
+  }
+  return v;
+}
+
+// The dense-tier kernels against longhand loops, every tier, odd shapes:
+// batches around the 16-lane blocks, widths that are not multiples of 16,
+// a single output. Activations carry ReLU zeros, gradients carry -0.0f and
+// are scaled by a non-power-of-two rate (exposing any FMA contraction), and
+// the accumulators start non-zero with -0.0f entries, so a masked skip that
+// added a zero instead of skipping would show.
+TEST_F(SimdTierTest, DenseKernelsAreBitIdenticalToScalarReference) {
+  Rng rng(13);
+  const float lr = 0.037f;
+  struct Shape {
+    size_t in, out;
+  };
+  for (size_t batch : {1u, 15u, 17u, 512u}) {
+    for (const Shape s : {Shape{1, 1}, Shape{13, 1}, Shape{37, 19},
+                          Shape{94, 33}, Shape{367, 64}}) {
+      const std::vector<float> x = DenseValues(batch * s.in, rng, 1.0f);
+      const std::vector<float> w = DenseValues(s.out * s.in, rng, 1.0f);
+      const std::vector<float> bias = DenseValues(s.out, rng, 1.0f);
+      const std::vector<float> gy = DenseValues(batch * s.out, rng, lr);
+      const std::vector<float> gw0 = DenseValues(s.out * s.in, rng, lr);
+      const std::vector<float> gb0 = DenseValues(s.out, rng, lr);
+
+      std::vector<float> want_y(batch * s.out), want_gx(batch * s.in, 0.0f),
+          want_gw(gw0), want_gb(gb0);
+      for (size_t b = 0; b < batch; ++b) {
+        for (size_t o = 0; o < s.out; ++o) {
+          float acc = bias[o];
+          for (size_t i = 0; i < s.in; ++i) acc += w[o * s.in + i] * x[b * s.in + i];
+          want_y[b * s.out + o] = acc;
+          const float g = gy[b * s.out + o];
+          if (g == 0.0f) continue;
+          want_gb[o] += g;
+          for (size_t i = 0; i < s.in; ++i) {
+            want_gw[o * s.in + i] += g * x[b * s.in + i];
+            want_gx[b * s.in + i] += g * w[o * s.in + i];
+          }
+        }
+      }
+
+      for (int tier_i = 0; tier_i <= static_cast<int>(simd::DetectedTier());
+           ++tier_i) {
+        const simd::Tier tier = static_cast<simd::Tier>(tier_i);
+        ASSERT_EQ(simd::SetActiveTier(tier), tier);
+        const std::string at = std::string(" tier=") + simd::TierName(tier) +
+                               " batch=" + std::to_string(batch) +
+                               " in=" + std::to_string(s.in) +
+                               " out=" + std::to_string(s.out);
+        std::vector<float> y(batch * s.out);
+        simd::LinearForward(x.data(), w.data(), bias.data(), batch, s.in, s.out,
+                            y.data());
+        EXPECT_EQ(0, std::memcmp(y.data(), want_y.data(), y.size() * 4))
+            << "linear_forward" << at;
+
+        std::vector<float> gx(batch * s.in, 1.0f), gw(gw0), gb(gb0);
+        simd::LinearBackward(x.data(), w.data(), gy.data(), batch, s.in, s.out,
+                             gx.data(), gw.data(), gb.data());
+        EXPECT_EQ(0, std::memcmp(gx.data(), want_gx.data(), gx.size() * 4))
+            << "linear_backward gx" << at;
+        EXPECT_EQ(0, std::memcmp(gw.data(), want_gw.data(), gw.size() * 4))
+            << "linear_backward gw" << at;
+        EXPECT_EQ(0, std::memcmp(gb.data(), want_gb.data(), gb.size() * 4))
+            << "linear_backward gb" << at;
+      }
+    }
+  }
+
+  for (size_t k : {1u, 2u, 5u, 13u, 27u}) {
+    for (size_t d : {1u, 7u, 16u, 19u}) {
+      const size_t pairs = k * (k - 1) / 2;
+      const std::vector<float> vecs = DenseValues(k * d, rng, 1.0f);
+      const std::vector<float> g = DenseValues(pairs, rng, lr);
+      const std::vector<float> gv0 = DenseValues(k * d, rng, lr);
+
+      // One slot past the pairs must stay untouched.
+      std::vector<float> want_out(pairs + 1, 7.0f), want_gv(gv0);
+      size_t pos = 0;
+      for (size_t i = 0; i < k; ++i) {
+        for (size_t j = i + 1; j < k; ++j, ++pos) {
+          float dot = 0.0f;
+          for (size_t t = 0; t < d; ++t) dot += vecs[i * d + t] * vecs[j * d + t];
+          want_out[pos] = dot;
+          if (g[pos] == 0.0f) continue;
+          for (size_t t = 0; t < d; ++t) {
+            want_gv[i * d + t] += g[pos] * vecs[j * d + t];
+            want_gv[j * d + t] += g[pos] * vecs[i * d + t];
+          }
+        }
+      }
+
+      for (int tier_i = 0; tier_i <= static_cast<int>(simd::DetectedTier());
+           ++tier_i) {
+        const simd::Tier tier = static_cast<simd::Tier>(tier_i);
+        ASSERT_EQ(simd::SetActiveTier(tier), tier);
+        const std::string at = std::string(" tier=") + simd::TierName(tier) +
+                               " k=" + std::to_string(k) +
+                               " d=" + std::to_string(d);
+        std::vector<float> out(pairs + 1, 7.0f);
+        simd::DotInteraction(vecs.data(), k, d, out.data());
+        EXPECT_EQ(0, std::memcmp(out.data(), want_out.data(), out.size() * 4))
+            << "dot_interaction" << at;
+
+        std::vector<float> gv(gv0);
+        simd::DotInteractionBackward(vecs.data(), g.data(), k, d, gv.data());
+        EXPECT_EQ(0, std::memcmp(gv.data(), want_gv.data(), gv.size() * 4))
+            << "dot_interaction_backward" << at;
+      }
     }
   }
 }

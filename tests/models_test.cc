@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "common/simd.h"
 #include "embed/full_embedding.h"
+#include "io/serialize.h"
 #include "models/dcn.h"
 #include "models/dlrm.h"
 #include "models/model.h"
@@ -198,6 +202,71 @@ TEST_P(ModelSweep, EmbeddingGradientMatchesFiniteDifference) {
   const double numeric = (up - down) / (2.0 * h);
 
   EXPECT_NEAR(grad[0], numeric, 5e-3) << GetParam().name;
+}
+
+// Everything 20 Adagrad TrainSteps leave behind, as bytes: dense weights,
+// optimizer state, embedding rows, and the logits of a held-out batch.
+std::string TrainedStateBytes(ModelFactory factory) {
+  auto store = MakeStore();
+  ModelConfig config = MakeModelConfig();
+  config.top_hidden = {37, 19};  // widths off the 16-lane blocks
+  config.dense_optimizer = "adagrad";
+  auto made = factory(config, store.get());
+  EXPECT_TRUE(made.ok());
+  RecModel* model = made->get();
+  for (uint64_t step = 0; step < 20; ++step) {
+    const TestBatchData data = MakeBatchData(33, 100 + step);
+    model->TrainStep(data.View(33));
+  }
+  io::Writer writer;
+  std::vector<Param> params;
+  model->CollectDenseParams(&params);
+  for (const Param& p : params) writer.WriteBytes(p.value, p.size * 4);
+  EXPECT_TRUE(model->optimizer()->SaveState(&writer).ok());
+  EXPECT_TRUE(store->SaveState(&writer).ok());
+  const TestBatchData eval = MakeBatchData(17, 999);
+  std::vector<float> logits;
+  model->Predict(eval.View(17), &logits);
+  writer.WriteBytes(logits.data(), logits.size() * 4);
+  return writer.buffer();
+}
+
+// The vector dense tier trains the same model as the scalar reference, byte
+// for byte (the DLRM interaction included).
+TEST_P(ModelSweep, TrainingIsBitIdenticalAcrossSimdTiers) {
+  simd::SetActiveTier(simd::Tier::kScalar);
+  const std::string scalar = TrainedStateBytes(GetParam().factory);
+  simd::ResetActiveTier();
+  const std::string vector = TrainedStateBytes(GetParam().factory);
+  EXPECT_TRUE(scalar == vector)
+      << GetParam().name << " differs on " << simd::ActiveTierName();
+}
+
+// Weights written through the CollectDenseParams views (how checkpoints and
+// serving replicas load them) take effect on the very next Predict: a model
+// holding any derived copy of its weights would still answer with its own.
+TEST_P(ModelSweep, WeightsWrittenThroughParamViewsReachNextPredict) {
+  auto store = MakeStore();
+  ModelConfig config = MakeModelConfig();
+  auto source = GetParam().factory(config, store.get());
+  config.seed += 1;
+  auto target = GetParam().factory(config, store.get());
+  ASSERT_TRUE(source.ok() && target.ok());
+  const TestBatchData data = MakeBatchData(19, 12);
+  std::vector<float> want, before, after;
+  (*source)->Predict(data.View(19), &want);
+  (*target)->Predict(data.View(19), &before);
+  ASSERT_NE(want, before);
+  std::vector<Param> from, to;
+  (*source)->CollectDenseParams(&from);
+  (*target)->CollectDenseParams(&to);
+  ASSERT_EQ(from.size(), to.size());
+  for (size_t b = 0; b < from.size(); ++b) {
+    ASSERT_EQ(from[b].size, to[b].size);
+    std::memcpy(to[b].value, from[b].value, from[b].size * sizeof(float));
+  }
+  (*target)->Predict(data.View(19), &after);
+  EXPECT_EQ(0, std::memcmp(after.data(), want.data(), want.size() * 4));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -255,7 +255,7 @@ TEST(BceLossTest, GradientIsSigmoidMinusLabelOverN) {
   logits.at(1, 0) = -0.4f;
   std::vector<float> labels{1.0f, 0.0f};
   Tensor grad;
-  BceWithLogitsLoss::Compute(logits, labels, &grad);
+  BceWithLogitsLoss::Compute(logits, labels.data(), &grad);
   EXPECT_NEAR(grad.at(0, 0), (SigmoidScalar(1.2f) - 1.0f) / 2.0f, 1e-6);
   EXPECT_NEAR(grad.at(1, 0), (SigmoidScalar(-0.4f) - 0.0f) / 2.0f, 1e-6);
 }
@@ -267,15 +267,15 @@ TEST(BceLossTest, GradientMatchesFiniteDifference) {
   logits.at(2, 0) = 2.0f;
   std::vector<float> labels{1.0f, 0.0f, 0.0f};
   Tensor grad;
-  BceWithLogitsLoss::Compute(logits, labels, &grad);
+  BceWithLogitsLoss::Compute(logits, labels.data(), &grad);
   const float h = 1e-3f;
   for (size_t i = 0; i < 3; ++i) {
     Tensor up = logits, down = logits;
     up.at(i, 0) += h;
     down.at(i, 0) -= h;
     Tensor unused;
-    const double lu = BceWithLogitsLoss::Compute(up, labels, &unused);
-    const double ld = BceWithLogitsLoss::Compute(down, labels, &unused);
+    const double lu = BceWithLogitsLoss::Compute(up, labels.data(), &unused);
+    const double ld = BceWithLogitsLoss::Compute(down, labels.data(), &unused);
     EXPECT_NEAR(grad.at(i, 0), (lu - ld) / (2.0 * h), 1e-4);
   }
 }

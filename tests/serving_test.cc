@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <future>
 #include <memory>
@@ -284,6 +285,55 @@ TEST(InferenceServerTest, MicroBatcherCoalescesUpToMaxBatch) {
   EXPECT_EQ(stats.samples, 40u);
   EXPECT_EQ(stats.executed_batches, 1u)
       << "10 x 4 samples against max_batch 40 must coalesce into one pass";
+  (*server)->Shutdown();
+}
+
+// A burst that fills max_batch wakes the worker in its batching window at
+// once, not when the window expires: with a 2 s window, 10 x 4 samples
+// against max_batch 40 complete well inside a second, as one pass. The
+// first request goes alone, so the worker is inside its window when the
+// batch fills.
+TEST(InferenceServerTest, FullBatchReleasesBeforeWindow) {
+  auto data = MakeServingDataset();
+  StoreFactoryContext context = MakeContext(20.0);
+  context.embedding.total_features = data->layout().total_features();
+  context.layout = data->layout();
+  auto store = MakeStore("hash", context);
+  ASSERT_TRUE(store.ok());
+  auto frozen = FrozenStore::Adopt(std::move(*store));
+  FrozenStore* frozen_raw = frozen.get();
+  ModelConfig model_config = MakeServingModelConfig(*data);
+
+  InferenceServerOptions options;
+  options.num_workers = 1;
+  options.max_batch = 40;
+  options.max_wait_us = 2000000;
+  options.num_fields = data->num_fields();
+  options.num_numerical = data->config().num_numerical;
+  auto server = InferenceServer::Start(
+      options, [&](size_t) -> StatusOr<std::unique_ptr<RecModel>> {
+        auto replica = MakeModel("dlrm", model_config, frozen_raw);
+        if (!replica.ok()) return replica.status();
+        return std::move(replica).value();
+      });
+  ASSERT_TRUE(server.ok());
+
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<std::future<std::vector<float>>> futures;
+  for (int r = 0; r < 10; ++r) {
+    auto submitted = (*server)->Submit(data->GetBatch(r * 4, 4));
+    ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+    futures.push_back(std::move(submitted).value());
+    if (r == 0) std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  for (auto& future : futures) {
+    EXPECT_EQ(future.get().size(), 4u);
+  }
+  const double elapsed_s = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+  EXPECT_LT(elapsed_s, 1.0) << "the full batch waited out the window";
+  EXPECT_EQ((*server)->stats().executed_batches, 1u);
   (*server)->Shutdown();
 }
 
